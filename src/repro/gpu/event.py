@@ -36,32 +36,19 @@ class GpuEvent:
         return self._occurred is not None and self._occurred.triggered
 
     def record(self, stream: "Stream") -> "GpuEvent":
-        """Enqueue this event marker on ``stream`` (re-record allowed only
-        before the previous recording occurred is an error, like CUDA's
-        undefined behaviour — we reject it)."""
+        """Enqueue this event marker on ``stream``.
+
+        Re-recording before the previous recording occurred is an error
+        (undefined behaviour in CUDA — we reject it).  If the stream is
+        poisoned before reaching the marker, the occurrence fails with the
+        stream's error, so cross-stream waiters fail instead of hanging.
+        """
         if self._occurred is not None and not self._occurred.triggered:
             raise StreamError(f"event {self.name!r} re-recorded while pending")
-        self._occurred = self.engine.event()
+        occurred = self.engine.event()
+        stream.mark(self, occurred)  # raises on a destroyed stream
+        self._occurred = occurred
         self.record_time = self.engine.now
-        occurred = self._occurred
-
-        def marker():
-            self.complete_time = self.engine.now
-            occurred.succeed(None)
-            yield from ()  # marker op completes instantly in stream order
-
-        marker_done = stream.enqueue(marker, label=f"record:{self.name}")
-        # If the stream fails before reaching the marker (poisoned by an
-        # upstream copy failure), the marker body never runs and the event
-        # would never occur — cross-stream waiters would hang forever.
-        # Propagate the failure into the occurrence instead.
-        marker_done.add_callback(
-            lambda ev: (
-                occurred.fail(ev._exception)
-                if not ev.ok and not occurred.triggered
-                else None
-            )
-        )
         return self
 
     def wait(self) -> Event:

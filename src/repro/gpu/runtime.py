@@ -98,6 +98,16 @@ class GPURuntime:
         dev.streams.append(stream)
         return stream
 
+    def destroy_stream(self, stream: Stream) -> None:
+        """Destroy ``stream`` and unregister it from its device.
+
+        Work already queued on it still drains; further enqueues raise.
+        """
+        stream.destroy()
+        streams = self.device(stream.device_id).streams
+        if stream in streams:
+            streams.remove(stream)
+
     def create_event(self, name: str = "") -> GpuEvent:
         return GpuEvent(self.engine, name)
 
@@ -115,27 +125,23 @@ class GPURuntime:
         """Enqueue a DMA copy along a topology hop on ``stream``.
 
         When the runtime was built with bounded ``copy_engines``, the copy
-        first claims an engine slot on the stream's device.
+        first claims an engine slot on the stream's device.  The run-level
+        counters only count copies the stream accepted.
         """
+        done = stream.copy(
+            self.fabric,
+            hop,
+            nbytes,
+            tag=tag,
+            copy_engines=(
+                self._copy_engines.get(stream.device_id)
+                if self._copy_engines is not None
+                else None
+            ),
+        )
         self.copies_issued += 1
         self.copy_bytes_requested += nbytes
-        sem = (
-            self._copy_engines.get(stream.device_id)
-            if self._copy_engines is not None
-            else None
-        )
-
-        def op():
-            if sem is not None:
-                yield sem.acquire()
-            try:
-                result = yield self.fabric.copy(hop, nbytes, tag=tag)
-            finally:
-                if sem is not None:
-                    sem.release()
-            return result
-
-        return stream.enqueue(op, label=tag or "copy")
+        return done
 
     def peer_copy_async(
         self, src: int, dst: int, nbytes: int, stream: Stream, *, tag: str = ""

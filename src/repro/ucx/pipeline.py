@@ -336,10 +336,9 @@ class PipelineEngine:
         """
         leaked: list[tuple[tuple, str]] = []
         for key, stream in self._stream_pool.items():
-            tail = stream._tail
-            if stream._destroyed:
+            if stream.destroyed:
                 leaked.append((key, "destroyed"))
-            elif tail is not None and tail.triggered and not tail.ok:
+            elif stream.poisoned:
                 leaked.append((key, "poisoned"))
             elif not stream.idle:
                 leaked.append((key, "busy"))
@@ -351,12 +350,15 @@ class PipelineEngine:
 
         Stream errors are sticky (CUDA-style: a failed op poisons every
         later op on the queue), so a retry reusing the pooled stream would
-        fail instantly.  Dropping the pool entries gives the next execution
-        fresh queues.  Returns the number of streams dropped.
+        fail instantly.  Dropping the pool entries (and destroying their
+        streams, which unregisters them from the runtime) gives the next
+        execution fresh queues.  Returns the number of streams dropped.
         """
         dropped = 0
         for role in ("direct", "h1", "h2"):
-            if self._stream_pool.pop((src, dst, path_id, role), None) is not None:
+            stream = self._stream_pool.pop((src, dst, path_id, role), None)
+            if stream is not None:
+                self.runtime.destroy_stream(stream)
                 dropped += 1
         self.streams_reset += dropped
         return dropped
