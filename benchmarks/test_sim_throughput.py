@@ -23,6 +23,8 @@ performance floor:
   bounded admission queue) keeps the queue bounded, admitted p99 within
   the scenario bound, sheds a real fraction of work, and passes the
   invariant sanitizer (the ISSUE-9 gate);
+* the offline static-share search processes no more engine events than
+  the committed baseline (an exact, deterministic count);
 * no gated series regressed >30% against the committed baseline
   (``benchmarks/results/perf_baseline.json``).
 """
@@ -123,6 +125,16 @@ def test_tracing_overhead_budget(suite):
     # the recorder actually recorded the workload it claims to tax
     assert tracing["spans_recorded"] > 0
     assert tracing["spans_per_put"] > 1.0
+
+
+def test_static_search_events_do_not_rise(suite):
+    search = suite["static_search"]
+    # 4 paths at grid 6 -> C(9, 3) = 84 fraction vectors x 3 chunk counts
+    assert search["candidates"] == 252
+    baseline = json.loads((RESULTS_DIR / "perf_baseline.json").read_text())
+    assert search["events_processed"] <= (
+        baseline["static_search"]["events_processed"]
+    )
 
 
 def test_write_bench_json_and_gate_vs_baseline(suite):

@@ -14,6 +14,7 @@ replaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -47,10 +48,20 @@ class StaticSearchResult:
     shares: tuple[StaticShare, ...]
     simulated_time: float
     candidates_evaluated: int
+    #: Engine events processed over all candidates (deterministic cost).
+    events_processed: int
 
 
-def _simulate_candidate(env: BenchEnvironment, src, dst, nbytes, paths, fractions, chunks):
-    """Time a single transfer with an explicit distribution."""
+def _simulate_candidate(
+    env: BenchEnvironment, src, dst, nbytes, paths, fractions, chunks,
+    bound: float = math.inf,
+):
+    """Time a single transfer with an explicit distribution.
+
+    Returns ``(time, events)``: the simulated transfer time — None if the
+    transfer is still running ``bound`` seconds after it started — and
+    the engine events processed.
+    """
     engine, ctx, _comm = env.fresh()
     assignments = []
     shares = [int(f * nbytes) for f in fractions]
@@ -77,8 +88,22 @@ def _simulate_candidate(env: BenchEnvironment, src, dst, nbytes, paths, fraction
         predicted_time=1e-9,
     )
     start = engine.now
-    engine.run(until=ctx.pipeline.execute(plan, tag="static"))
-    return engine.now - start
+    done = ctx.pipeline.execute(plan, tag="static")
+    finish = []
+    done.add_callback(lambda _ev: finish.append(engine.now))
+    if math.isfinite(bound):
+        # Same heap order as an unbounded run, so an event at or before
+        # the deadline fires at the same time; a transfer completing
+        # exactly at the deadline still completes (and loses the tie).
+        engine.run(until=start + bound)
+        if not done.triggered and engine.queued:
+            return None, engine.events_processed
+    if not done.ok:
+        # Runs an unbounded transfer to completion; raises the transfer's
+        # failure, or the engine's deadlock SimError if the heap drains
+        # before the transfer completes.
+        engine.run(until=done)
+    return finish[0] - start, engine.events_processed
 
 
 def static_search(
@@ -92,9 +117,23 @@ def static_search(
     grid_steps: int = 8,
     chunk_menu: tuple[int, ...] = (1, 4, 16),
 ) -> StaticSearchResult:
-    """Offline exhaustive search for the best fixed distribution."""
+    """Offline exhaustive search for the best fixed distribution.
+
+    Candidates run in grid order; the first strictly fastest one wins.
+    Every candidate after the first is simulated only up to the best time
+    so far, which changes neither the winner nor its time.
+    """
     if nbytes <= 0:
         raise ValueError("nbytes must be > 0")
+    if not isinstance(grid_steps, int) or grid_steps < 1:
+        raise ValueError(f"grid_steps must be an int >= 1, got {grid_steps!r}")
+    if not chunk_menu:
+        raise ValueError("chunk_menu must not be empty")
+    for chunks in chunk_menu:
+        if not isinstance(chunks, int) or chunks < 1:
+            raise ValueError(
+                f"chunk_menu entries must be ints >= 1, got {chunks!r}"
+            )
     paths = enumerate_paths(
         env.topology,
         src,
@@ -102,15 +141,19 @@ def static_search(
         include_host=include_host,
         max_gpu_staged=max_gpu_staged,
     )
-    best_time = float("inf")
+    best_time = math.inf
     best = None
     evaluated = 0
+    events = 0
     has_staged = any(p.is_staged for p in paths)
     menu = chunk_menu if has_staged else (1,)
     for fractions, chunks in product(simplex_grid(len(paths), grid_steps), menu):
         evaluated += 1
-        t = _simulate_candidate(env, src, dst, nbytes, paths, fractions, chunks)
-        if t < best_time:
+        t, n = _simulate_candidate(
+            env, src, dst, nbytes, paths, fractions, chunks, bound=best_time
+        )
+        events += n
+        if t is not None and t < best_time:
             best_time = t
             best = (fractions, chunks)
     fractions, chunks = best
@@ -122,7 +165,10 @@ def static_search(
     # Renormalise in case zero-fraction paths were dropped (grid sums to 1
     # already, dropping zeros keeps the sum).
     return StaticSearchResult(
-        shares=shares, simulated_time=best_time, candidates_evaluated=evaluated
+        shares=shares,
+        simulated_time=best_time,
+        candidates_evaluated=evaluated,
+        events_processed=events,
     )
 
 

@@ -18,7 +18,7 @@ from repro.obs import Observability
 from repro.sim.noise import ComposedJitter, LognormalJitter, SizeDependentEfficiency
 from repro.topology.links import LinkKind
 from repro.topology.node import ChannelDef
-from repro.util.rng import spawn_rng
+from repro.util.rng import spawn_seed
 from repro.mpi.comm import Communicator
 from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
@@ -59,15 +59,24 @@ def default_jitter_factory(seed: int | None = 0, sigma: float = 0.01):
     Combines the size-dependent efficiency ramp (systematic — causes
     Observation 4) with mild lognormal run-to-run scatter (sigma ≈ 1 %).
     Pass ``sigma=0`` for the purely systematic variant used in tests.
+
+    Every fresh simulation calls the factory once per channel, but a
+    transfer draws on only a few of them: each channel's child seed is
+    derived once per factory, and its generator is created on the first
+    draw (:meth:`LognormalJitter.seeded`), yielding the same stream as
+    ``spawn_rng(seed, "jitter", name)``.
     """
+    child_seeds: dict[str, int] = {}
 
     def factory(cdef: ChannelDef):
         knee = EFFICIENCY_KNEES.get(cdef.kind, 256 * 1024)
         systematic = SizeDependentEfficiency(knee)
         if sigma <= 0:
             return systematic
-        rng = spawn_rng(seed, "jitter", cdef.name)
-        return ComposedJitter(systematic, LognormalJitter(rng, sigma))
+        child = child_seeds.get(cdef.name)
+        if child is None:
+            child = child_seeds[cdef.name] = spawn_seed(seed, "jitter", cdef.name)
+        return ComposedJitter(systematic, LognormalJitter.seeded(child, sigma))
 
     return factory
 

@@ -28,6 +28,10 @@ machine-readable ``BENCH_sim.json``:
   budgets.  The committed series (goodput fraction, exact shed fraction,
   admitted-p99 headroom against the scenario bound) is simulated-time and
   deterministic.
+* **static_search** — the offline exhaustive static-share search (the
+  set-up cost of every Fig. 6 point): wall time, candidates and engine
+  events.  Candidates and events are deterministic, so events are gated
+  to never rise above the baseline.
 * **tracing_overhead** — the flight recorder's on-by-default tax: the
   median of paired recorder-on/recorder-off latency ratios over adjacent
   identical mixed-size transfer blocks.  The <3 % budget is gated in
@@ -69,6 +73,12 @@ GATED_SERIES = (
     (("graph_replay", "speedup_replay_vs_cold"), "graph replay setup speedup"),
     (("overload", "goodput_fraction"), "overload goodput fraction"),
     (("overload", "p99_headroom"), "overload admitted-p99 headroom"),
+    (("static_search", "candidates_per_sec"), "static-search candidates"),
+)
+
+#: Deterministic counts gated exactly: any rise above the baseline fails.
+CEILING_SERIES = (
+    (("static_search", "events_processed"), "static-search engine events"),
 )
 
 
@@ -515,6 +525,38 @@ def bench_overload(*, quick: bool = False) -> dict:
     }
 
 
+def bench_static_search(*, repeats: int = 3) -> dict:
+    """Offline static-share search cost (Fig. 6 set-up), best of ``repeats``.
+
+    One search: beluga, ``3_GPUs_w_host``, 16 MiB, grid 6, the default
+    chunk menu, with 1 % channel jitter at seed 1 (a ``bibw-sweep`` set-up
+    point).  ``candidates`` and ``events_processed`` are deterministic;
+    only the wall numbers vary between runs.
+    """
+    from repro.bench.baselines import dynamic_config, static_search
+    from repro.bench.runner import PATH_CONFIGS, get_setup
+
+    kwargs = PATH_CONFIGS["3_GPUs_w_host"]
+    env = get_setup("beluga", jitter_seed=1, jitter_sigma=0.01).env(
+        dynamic_config(**kwargs)
+    )
+    nbytes, grid_steps = 16 * MiB, 6
+    wall = float("inf")
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        result = static_search(env, nbytes, grid_steps=grid_steps, **kwargs)
+        wall = min(wall, time.perf_counter() - t0)
+    return {
+        "nbytes": nbytes,
+        "grid_steps": grid_steps,
+        "candidates": result.candidates_evaluated,
+        "events_processed": result.events_processed,
+        "simulated_time_s": result.simulated_time,
+        "wall_s": wall,
+        "candidates_per_sec": result.candidates_evaluated / wall,
+    }
+
+
 def _tracing_ratio_samples(pairs_n: int, warmup: int) -> tuple[list[float], int, int]:
     """Paired per-block overhead ratios from one environment.
 
@@ -620,6 +662,7 @@ def run_suite(*, quick: bool = False, jobs: int | None = None) -> dict:
         "graph_replay": bench_graph_replay(quick=quick),
         "fault_recovery": bench_fault_recovery(quick=quick),
         "overload": bench_overload(quick=quick),
+        "static_search": bench_static_search(),
         "tracing_overhead": bench_tracing_overhead(quick=quick),
     }
 
@@ -633,8 +676,10 @@ def _lookup(doc: dict, path: tuple[str, ...]):
 def check_regression(
     current: dict, baseline: dict, *, max_regress: float = 0.30
 ) -> list[str]:
-    """Compare gated throughput series; return failure messages (empty=pass).
+    """Compare gated series; return failure messages (empty=pass).
 
+    :data:`GATED_SERIES` may fall at most ``max_regress`` below the
+    baseline; :data:`CEILING_SERIES` may not rise above it at all.
     Raises :class:`ValueError` when the two documents come from
     different-sized workloads (``--quick`` vs full): their absolute
     throughputs are not comparable.
@@ -656,6 +701,14 @@ def check_regression(
                 f"{label}: {cur:,.0f}/s is {1 - cur / base:.0%} below "
                 f"baseline {base:,.0f}/s (limit {max_regress:.0%})"
             )
+    for path, label in CEILING_SERIES:
+        try:
+            base = _lookup(baseline, path)
+        except (KeyError, TypeError):
+            continue
+        cur = _lookup(current, path)
+        if cur > base:
+            failures.append(f"{label}: {cur:,} rose above baseline {base:,}")
     return failures
 
 
@@ -745,6 +798,7 @@ def main(argv: list[str] | None = None) -> int:
 __all__ = [
     "PERF_SUITE_VERSION",
     "GATED_SERIES",
+    "CEILING_SERIES",
     "bench_engine_core",
     "bench_solver",
     "bench_fig5",
@@ -752,6 +806,7 @@ __all__ = [
     "bench_graph_replay",
     "bench_fault_recovery",
     "bench_overload",
+    "bench_static_search",
     "bench_tracing_overhead",
     "run_suite",
     "check_regression",

@@ -16,21 +16,39 @@ class LognormalJitter:
     """Multiplicative lognormal jitter with mean 1.
 
     ``sigma`` is the log-space standard deviation; typical measured link
-    variation corresponds to sigma in [0.005, 0.05].
+    variation corresponds to sigma in [0.005, 0.05].  :meth:`seeded`
+    builds one whose generator is only created on the first draw.
     """
 
-    def __init__(self, rng: np.random.Generator, sigma: float = 0.01) -> None:
+    def __init__(self, rng: np.random.Generator | None, sigma: float = 0.01) -> None:
         if sigma < 0:
             raise ValueError("sigma must be >= 0")
         self.rng = rng
+        self._seed: int | None = None
         self.sigma = float(sigma)
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) == 1 for this mu:
         self._mu = -0.5 * self.sigma**2
 
+    @classmethod
+    def seeded(cls, seed: int, sigma: float = 0.01) -> "LognormalJitter":
+        """Jitter drawing from ``np.random.default_rng(seed)``, created lazily.
+
+        Draws the same sequence as ``LognormalJitter(default_rng(seed),
+        sigma)``; ``rng`` stays None until the first draw, so a simulation
+        that builds jitter for every channel pays for a generator only on
+        the channels it uses.
+        """
+        jitter = cls(None, sigma)
+        jitter._seed = int(seed)
+        return jitter
+
     def __call__(self, nbytes: int) -> float:
         if self.sigma == 0:
             return 1.0
-        return float(self.rng.lognormal(self._mu, self.sigma))
+        rng = self.rng
+        if rng is None:
+            rng = self.rng = np.random.default_rng(self._seed)
+        return float(rng.lognormal(self._mu, self.sigma))
 
 
 class BurstSlowdown:

@@ -1,8 +1,11 @@
 """Tests for the OSU-style measurement loops and the baselines."""
 
+from itertools import product
+
 import pytest
 
 from repro.bench.baselines import (
+    _simulate_candidate,
     direct_config,
     dynamic_config,
     simplex_grid,
@@ -12,7 +15,10 @@ from repro.bench.baselines import (
 from repro.bench.collectives import COLLECTIVES
 from repro.bench.env import BenchEnvironment, default_jitter_factory
 from repro.bench.omb import osu_bibw, osu_bw, osu_collective_latency
+from repro.sim.faults import LinkFailure
 from repro.topology import systems
+from repro.topology.routing import enumerate_paths
+from repro.ucx.tuning import StaticShare
 from repro.units import MiB, gbps
 
 
@@ -170,3 +176,72 @@ class TestStaticSearch:
         env = BenchEnvironment(topo)
         with pytest.raises(ValueError):
             static_search(env, 0)
+
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_rejects_non_positive_grid_steps(self, steps):
+        env = BenchEnvironment(systems.beluga())
+        with pytest.raises(ValueError, match="grid_steps"):
+            static_search(env, 4 * MiB, include_host=False, grid_steps=steps)
+
+    @pytest.mark.parametrize("menu", [(), (0,), (4, -1)])
+    def test_rejects_bad_chunk_menu(self, menu):
+        env = BenchEnvironment(systems.beluga())
+        with pytest.raises(ValueError, match="chunk_menu"):
+            static_search(env, 4 * MiB, include_host=False, chunk_menu=menu)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("system", ["beluga", "narval"])
+    def test_bounded_search_equals_exhaustive_argmin(self, system, sigma):
+        """Bounding candidates by the best time so far changes nothing.
+
+        The expected winner times every candidate to completion; ties go
+        to the first candidate in grid order (sigma=0 makes the symmetric
+        GPU-staged paths tie exactly).
+        """
+        topo = systems.by_name(system)
+        env = BenchEnvironment(
+            topo,
+            config=dynamic_config(),
+            jitter_factory=default_jitter_factory(3, sigma),
+        )
+        nbytes, steps, menu = 4 * MiB, 3, (1, 4)
+        paths = enumerate_paths(topo, 0, 1, include_host=True)
+        candidates = list(product(simplex_grid(len(paths), steps), menu))
+        runs = [
+            _simulate_candidate(env, 0, 1, nbytes, paths, fractions, chunks)
+            for fractions, chunks in candidates
+        ]
+        times = [t for t, _events in runs]
+        best = times.index(min(times))
+        fractions, chunks = candidates[best]
+        expected = tuple(
+            StaticShare(path_id=p.path_id, fraction=f, chunks=chunks)
+            for p, f in zip(paths, fractions)
+            if f > 0
+        )
+
+        res = static_search(env, nbytes, grid_steps=steps, chunk_menu=menu)
+        assert (res.shares, res.simulated_time, res.candidates_evaluated) == (
+            expected, times[best], len(candidates)
+        )
+        # the bound really cut work short
+        assert res.events_processed < sum(events for _t, events in runs)
+
+    def test_candidate_failing_before_bound_raises(self):
+        class DownAfterFirst(BenchEnvironment):
+            """Every channel is down in all but the first simulation."""
+
+            calls = 0
+
+            def fresh(self, size=None):
+                engine, ctx, comm = super().fresh(size)
+                self.calls += 1
+                if self.calls > 1:
+                    for name in ctx.runtime.fabric.channels:
+                        ctx.runtime.fabric.fail_channel(name)
+                return engine, ctx, comm
+
+        env = DownAfterFirst(systems.beluga(), config=dynamic_config())
+        with pytest.raises(LinkFailure):
+            static_search(env, 4 * MiB, include_host=False, grid_steps=2)
+        assert env.calls == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.env import BenchEnvironment, default_jitter_factory
 from repro.sim.noise import (
     BurstSlowdown,
     ComposedJitter,
@@ -10,8 +11,9 @@ from repro.sim.noise import (
     LognormalJitter,
     SizeDependentEfficiency,
 )
+from repro.topology import systems
 from repro.units import KiB, MiB
-from repro.util.rng import spawn_rng
+from repro.util.rng import spawn_rng, spawn_seed
 
 
 class TestLognormalJitter:
@@ -33,6 +35,41 @@ class TestLognormalJitter:
         a = [LognormalJitter(spawn_rng(7, "x"), 0.02)(1) for _ in range(5)]
         b = [LognormalJitter(spawn_rng(7, "x"), 0.02)(1) for _ in range(5)]
         assert a == b
+
+    def test_seeded_draws_spawn_rng_sequence_lazily(self):
+        eager = LognormalJitter(spawn_rng(7, "jitter", "nvl:0->1"), 0.02)
+        lazy = LognormalJitter.seeded(spawn_seed(7, "jitter", "nvl:0->1"), 0.02)
+        assert lazy.rng is None
+        assert [lazy(n) for n in range(1, 50)] == [eager(n) for n in range(1, 50)]
+        assert lazy.rng is not None
+
+
+class TestDefaultJitterFactory:
+    def test_fresh_builds_generators_only_for_touched_channels(self):
+        topo = systems.beluga()
+        env = BenchEnvironment(topo, jitter_factory=default_jitter_factory(5, 0.01))
+        engine, ctx, _comm = env.fresh()
+        runtime = ctx.runtime
+        hop = topo.direct_hop(0, 1)
+        engine.run(
+            until=runtime.copy_on_hop_async(
+                hop, 4 * MiB, runtime.create_stream(0)
+            )
+        )
+        drawn = {
+            name
+            for name, ch in runtime.fabric.channels.items()
+            if ch.jitter.models[1].rng is not None
+        }
+        assert drawn == set(hop)
+        assert len(runtime.fabric.channels) > len(drawn)
+
+    def test_matches_eager_spawn_rng_per_channel(self):
+        factory = default_jitter_factory(9, 0.02)
+        for cdef in systems.narval().channels.values():
+            lazy = factory(cdef).models[1]
+            eager = LognormalJitter(spawn_rng(9, "jitter", cdef.name), 0.02)
+            assert [lazy(1) for _ in range(3)] == [eager(1) for _ in range(3)]
 
 
 class TestBurstSlowdown:
