@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -35,10 +36,11 @@ from repro.bench.omb import osu_bibw
 from repro.bench.runner import PATH_CONFIGS
 from repro.gpu import GPURuntime
 from repro.sim import Engine, Tracer
-from repro.sim.faults import FaultSchedule, StallInjector
+from repro.sim.faults import FaultSchedule, LinkDown, StallInjector
 from repro.topology import systems
 from repro.topology.routing import enumerate_paths
 from repro.ucx import TransportConfig, UCXContext
+from repro.ucx.tuning import StaticShare
 from repro.units import MiB
 
 # ``repro.bench`` re-exports a ``calibrate`` function under the module name
@@ -192,6 +194,127 @@ def run_calibrate_probe(system: str) -> str:
     return hashlib.sha256("".join(digests).encode()).hexdigest()
 
 
+# ----------------------------------------------------------------------
+# Plan-cache scenarios: hits, misses, evictions, invalidations and
+# recovery replans.  Digested without flight spans, so they pin what the
+# cache serves, not how a lookup is labelled.
+# ----------------------------------------------------------------------
+def _cache_digest(engine: Engine, tracer: Tracer, results) -> str:
+    return timeline_digest(engine, tracer, extra=tuple(results))
+
+
+def _run_in_order(engine: Engine, events) -> list:
+    return [engine.run(until=ev) for ev in events]
+
+
+def _cache_context(config: TransportConfig | None = None, **knobs):
+    return _context("beluga", (config or TransportConfig()).with_(**knobs))
+
+
+def _repeated_shapes(fault_at: float | None = None):
+    """Same-shape puts on 0 -> 1 plus one on 2 -> 3, one at a time per pair."""
+    engine, tracer, ctx = _cache_context(max_inflight_per_pair=1)
+    if fault_at is not None:
+        FaultSchedule(
+            LinkDown(ctx.topology.direct_hop(0, 1)[0], at=fault_at, duration=1e3)
+        ).attach(ctx.runtime.fabric)
+    sizes = (8 * MiB, 8 * MiB, 2 * MiB, 8 * MiB, 2 * MiB, MiB, MiB)
+    events = [ctx.put(0, 1, n, tag=f"t{i}") for i, n in enumerate(sizes)]
+    events.append(ctx.put(2, 3, 4 * MiB, tag="x"))
+    results = _run_in_order(engine, events)
+    return engine, tracer, results
+
+
+def run_cache_repeated(linkdown: bool) -> str:
+    """Repeated shapes; optionally the direct link dies mid-way through the
+    second put, so later same-shape puts run after a recovery."""
+    fault_at = None
+    if linkdown:
+        _e, _t, base = _repeated_shapes()
+        fault_at = base[0].duration + 0.45 * base[1].duration
+    engine, tracer, results = _repeated_shapes(fault_at)
+    if linkdown:
+        assert any(r.retries > 0 for r in results)
+    return _cache_digest(engine, tracer, results)
+
+
+def run_cache_many_shapes() -> str:
+    """More than 256 distinct (pair, size) shapes over all 12 pairs, mixing
+    eager and rendezvous sizes, with a 2 ms outage of one NVLink: shapes
+    recur after many others and across health transitions."""
+    engine, tracer, ctx = _cache_context(max_inflight_per_pair=2)
+    pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+    sizes = [k * 128 * 1024 for k in range(1, 9)] + [
+        k * MiB + 4096 * k for k in range(1, 18)
+    ]
+    rng = random.Random(7)
+    shapes = [(p, n) for p in pairs for n in sizes]
+    order = shapes + [rng.choice(shapes) for _ in range(300)]
+    rng.shuffle(order)
+    FaultSchedule(
+        LinkDown(ctx.topology.direct_hop(0, 1)[0], at=2e-3, duration=2e-3)
+    ).attach(ctx.runtime.fabric)
+    events = [
+        ctx.put(s, d, n, tag=f"m{i}") for i, ((s, d), n) in enumerate(order)
+    ]
+    results = _run_in_order(engine, events)
+    assert len(set(order)) > 256
+    assert any(r.retries > 0 for r in results)
+    return _cache_digest(engine, tracer, results)
+
+
+def run_cache_static_and_single() -> str:
+    """Repeated static-shares puts, then repeated single-path puts."""
+    static = TransportConfig(
+        static_shares=(
+            StaticShare("direct", 0.6),
+            StaticShare("gpu:2", 0.25, chunks=4),
+            StaticShare("host", 0.15, chunks=2),
+        )
+    )
+    digests = []
+    for config in (static, TransportConfig.single_path()):
+        engine, tracer, ctx = _cache_context(config)
+        events = [
+            ctx.put(0, 1, n, tag=f"s{i}")
+            for i, n in enumerate((8 * MiB, 8 * MiB, 3 * MiB, 8 * MiB, 3 * MiB))
+        ]
+        digests.append(_cache_digest(engine, tracer, _run_in_order(engine, events)))
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+def run_cache_degrade() -> str:
+    """A queue burst drives the governor to SHEDDING (degrade level 2) and
+    back down, so plans are made at every degrade level."""
+    engine, tracer, ctx = _cache_context(
+        max_inflight_per_pair=1,
+        overload_pressured_depth=2,
+        overload_shedding_depth=4,
+    )
+    events = [
+        ctx.put(0, 1, n, tag=f"d{i}")
+        for i, n in enumerate((4 * MiB, 4 * MiB, 8 * MiB) * 3)
+    ]
+    assert ctx.transfers.degrade_level == 2
+    results = _run_in_order(engine, events)
+    return _cache_digest(engine, tracer, results)
+
+
+def run_cache_contention() -> str:
+    """Rounds of concurrent contention-aware puts on pairs sharing links:
+    within a round each put plans against a different load bucket, and
+    later rounds repeat the first round's buckets."""
+    engine, tracer, ctx = _cache_context(contention_aware=True)
+    results = []
+    for rnd in range(3):
+        events = [
+            ctx.put(s, d, (8 + 4 * (i % 2)) * MiB, tag=f"c{rnd}.{i}")
+            for i, (s, d) in enumerate(((0, 1), (0, 2), (3, 1), (2, 1), (0, 1)))
+        ]
+        results += _run_in_order(engine, events)
+    return _cache_digest(engine, tracer, results)
+
+
 def scenarios() -> dict:
     """Scenario id -> zero-argument callable returning its digest."""
     table = {}
@@ -205,6 +328,12 @@ def scenarios() -> dict:
         table[f"watchdog:{system}"] = lambda s=system: run_watchdog(s)
         table[f"copy_engines:{system}"] = lambda s=system: run_copy_engines(s)
         table[f"calibrate_probe:{system}"] = lambda s=system: run_calibrate_probe(s)
+    table["cache:beluga:repeated"] = lambda: run_cache_repeated(False)
+    table["cache:beluga:repeated_linkdown"] = lambda: run_cache_repeated(True)
+    table["cache:beluga:many_shapes"] = run_cache_many_shapes
+    table["cache:beluga:static_single"] = run_cache_static_and_single
+    table["cache:beluga:degrade"] = run_cache_degrade
+    table["cache:beluga:contention"] = run_cache_contention
     return table
 
 
