@@ -380,19 +380,19 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
     first byte moving, execution excluded — over the same repeated
     mixed-size stream:
 
-    * **cold** — what every transfer paid before compiled graphs: a
-      planner pass (warm *plan* cache, i.e. the cold arm still benefits
-      from the pre-existing cache) plus per-transfer pipeline setup
-      (chunk schedule, stream binding, tag construction — what
-      :func:`~repro.core.transfer_graph.compile_plan` captures).
-    * **warm** — a graph-cache key build plus an LRU hit returning the
-      pre-resolved :class:`~repro.core.transfer_graph.TransferGraph`.
+    * **cold** — what every transfer would pay without compiled entries:
+      a planner pass (still served by the plan cache) plus per-transfer
+      pipeline setup (chunk schedule, stream binding, tag construction —
+      what :func:`~repro.core.transfer_graph.compile_plan` captures).
+    * **warm** — a plan-cache key build plus an LRU hit returning the
+      compiled :class:`~repro.core.transfer_graph.TransferGraph`, the
+      transport's per-put lookup.
 
     The ≥5x ``speedup_replay_vs_cold`` floor is gated in
     ``benchmarks/test_sim_throughput.py``.
     """
     from repro.bench.runner import get_setup
-    from repro.core.transfer_graph import GraphCache, compile_plan
+    from repro.core.transfer_graph import compile_plan
     from repro.ucx import TransportConfig, UCXContext
 
     setup = get_setup("beluga")
@@ -401,13 +401,11 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
     planner, pipeline = ctx.planner, ctx.pipeline
     sizes = (8 * MiB, 64 * MiB, 2 * MiB, 16 * MiB)
     ops = 2_000 if quick else 5_000
-    cache = GraphCache(ctx.config)
-    epoch = ctx.health.epoch
-    # warm both caches: one plan + one compiled graph per distinct size
+    cache = planner.cache
+    # warm the cache: one compiled entry per distinct size
     for nbytes in sizes:
-        plan = planner.plan(0, 1, nbytes)
-        key = cache.key_for(0, 1, nbytes, "dynamic", health_epoch=epoch)
-        cache.compile_and_store(key, plan, pipeline, health_epoch=epoch)
+        planner.plan(0, 1, nbytes)
+        cache.compile(cache.get(planner.plan_key(0, 1, nbytes)), pipeline)
 
     cold_wall = float("inf")
     for _ in range(max(1, repeats)):
@@ -421,12 +419,10 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         for i in range(ops):
-            key = cache.key_for(
-                0, 1, sizes[i % len(sizes)], "dynamic", health_epoch=epoch
-            )
+            key = planner.plan_key(0, 1, sizes[i % len(sizes)])
             graph = cache.get(key)
         warm_wall = min(warm_wall, time.perf_counter() - t0)
-    assert graph is not None, "warm arm must hit the graph cache"
+    assert graph is not None, "warm arm must hit the plan cache"
 
     return {
         "ops": ops,

@@ -525,10 +525,10 @@ def cmd_timeline(args):
 
 
 def cmd_graphs(args):
-    """Compiled transfer-graph cache report of one instrumented BW run.
+    """Plan-cache report of one instrumented BW run.
 
-    Hit rates, invalidation counters, and the per-key amortised setup cost
-    (compile wall clock spread over its replays — DESIGN.md §5g).  ``-o``
+    Hit rates, invalidation counters, and the per-entry amortised setup
+    cost (compile wall clock spread over its replays — DESIGN.md §5g).  ``-o``
     writes the stats as JSON; ``--dump PREFIX`` writes the usual artifact
     bundle.
     """
@@ -547,9 +547,10 @@ def cmd_graphs(args):
         )
         print(
             f"lookups={lookups} hit_rate={hit_rate:.1%} "
-            f"compiles={stats['compiles']} replays={stats['replays']} "
+            f"compiles={stats['compiles']} "
+            f"replays={sum(row['replays'] for row in rows)} "
             f"evictions={stats['evictions']} "
-            f"recovery_invalidations={stats['recovery_invalidations']} "
+            f"invalidations={stats['invalidations']} "
             f"compile_wall={stats['compile_wall_s'] * 1e6:.0f}us"
         )
         print(

@@ -32,7 +32,7 @@ from repro.core.contention import ContentionAwareModel, ContentionSolution
 from repro.core.hockney import HockneyModel, MultiPathModel
 from repro.core.optimizer import FractionSolution, optimal_fractions
 from repro.core.planner import PathAssignment, PathPlanner, TransferPlan, plan_transfer
-from repro.core.transfer_graph import CompiledPath, GraphCache, TransferGraph
+from repro.core.transfer_graph import CompiledPath, PlanCache, TransferGraph
 from repro.core.window_model import predict_windowed_bandwidth, windowed_bandwidth
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
     "plan_transfer",
     "TransferGraph",
     "CompiledPath",
-    "GraphCache",
+    "PlanCache",
     "ContentionAwareModel",
     "ContentionSolution",
     "CollectiveModel",

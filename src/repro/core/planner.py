@@ -34,14 +34,18 @@ from repro.core.chunking import (
 )
 from repro.core.optimizer import optimal_fractions
 from repro.core.params import ParameterStore, PathParams
+from repro.core.transfer_graph import PlanCache, TransferGraph
 from repro.topology.node import NodeTopology
 from repro.topology.routing import PathDescriptor, PathKind, enumerate_paths
 from repro.units import MiB
-from repro.util.cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
     from repro.runtime.load import LoadSnapshot
+
+#: Byte shares are rounded down to this multiple (GPU copies want aligned
+#: buffers); the remainder goes to the direct path.
+ALIGNMENT = 256
 
 #: Message-size window used to fit φ when no calibrated value exists.
 DEFAULT_PHI_SIZES = tuple(int(2**i * MiB) for i in range(1, 10))  # 2MiB..512MiB
@@ -149,7 +153,7 @@ class PathPlanner:
         pipelining: bool = True,
         sequential_initiation: bool = True,
         cache_capacity: int = 512,
-        alignment: int = 256,
+        alignment: int = ALIGNMENT,
         max_chunks: int = 64,
         phi_sizes: Sequence[int] = DEFAULT_PHI_SIZES,
         phi_mode: str = "per-size",
@@ -170,7 +174,8 @@ class PathPlanner:
         self.max_chunks = max_chunks
         self.phi_sizes = tuple(phi_sizes)
         self.phi_mode = phi_mode
-        self.cache: LRUCache = LRUCache(cache_capacity)
+        #: The one plan cache: key -> :class:`TransferGraph` (see plan_key).
+        self.cache = PlanCache(cache_capacity)
         self._phi_cache: dict[str, float] = {}
         #: Optional observability bundle; every guard below is one
         #: ``is not None`` check so the uninstrumented path stays free.
@@ -179,12 +184,38 @@ class PathPlanner:
         #: a trace open (``flight.active_trace``) carry that trace id, so
         #: the decision log joins against the flight recorder's spans.
         self.flight = flight
-        #: Optional GraphCache of compiled transfer graphs.  Graphs embed
-        #: resolved plans, so every plan-cache invalidation below forwards
-        #: to it — a graph must never outlive the plan it froze.
-        self.graphs = None
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def plan_key(
+        src: int,
+        dst: int,
+        nbytes: int,
+        include_host: bool = True,
+        max_gpu_staged: int | None = None,
+        exclude: tuple[str, ...] = (),
+        load_key: tuple = (),
+        degrade: int = 0,
+    ) -> tuple:
+        """The cache key of a dynamic plan; ``exclude`` must be sorted.
+
+        Everything Algorithm 1 reads that can differ between two calls on
+        one planner is in the key: the shape, the candidate-set knobs, the
+        excluded paths (the transport merges quarantined paths in, so the
+        set carries every health input to planning), the bucketed load and
+        the degrade level.  Planner knobs are fixed per planner, and
+        ``UCXContext.reconfigure`` builds a new planner, so no config
+        fingerprint is needed.  Parameter-store changes are not keyed:
+        :meth:`refresh_params` evicts the entries they make stale, and
+        :meth:`invalidate_path` evicts entries routing over a quarantined
+        path.  The transport caches its static and single-path plans in the
+        same LRU under ``(mode, src, dst, nbytes)``.
+        """
+        return (
+            "dynamic", src, dst, nbytes, include_host, max_gpu_staged,
+            exclude, load_key, degrade,
+        )
+
     def plan(
         self,
         src: int,
@@ -219,14 +250,14 @@ class PathPlanner:
         degrade = max(0, min(int(degrade), 2))
         if load is not None and load.is_idle:
             load = None
-        load_key = () if load is None else load.bucket_key()
-        key = (
+        key = self.plan_key(
             src, dst, int(nbytes), include_host, max_gpu_staged, exclude,
-            load_key, degrade,
+            () if load is None else load.bucket_key(), degrade,
         )
         if use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
+            graph = self.cache.get(key)
+            if graph is not None:
+                cached = graph.plan
                 plan = TransferPlan(
                     src=cached.src,
                     dst=cached.dst,
@@ -253,7 +284,7 @@ class PathPlanner:
             max_chunks=self._degraded_max_chunks(degrade),
         )
         if use_cache:
-            self.cache.put(key, plan)
+            self.cache.put(key, TransferGraph(plan))
         if obs is not None:
             self._observe_plan(obs, plan, time.perf_counter() - t0, load)
         return plan
@@ -293,6 +324,28 @@ class PathPlanner:
             m.histogram("contention.load_bucket").observe(load_bucket)
             if plan.from_cache:
                 m.counter("contention.cache_hits").inc()
+
+    def observe_graph_hit(
+        self,
+        plan: TransferPlan,
+        wall_time_s: float,
+        load: "LoadSnapshot | None",
+        trace_id: int,
+    ) -> None:
+        """Record a transfer served from the cache without a planner call."""
+        obs = self.obs
+        obs.decisions.log_plan(
+            plan,
+            cache_hit=True,
+            wall_time_s=wall_time_s,
+            load_bucket=self._plan_load_bucket(plan, load),
+            trace_id=trace_id,
+            graph=True,
+        )
+        m = obs.metrics
+        m.counter("planner.plans").inc()
+        m.counter("planner.cache_hits").inc()
+        m.counter("planner.graph_hits").inc()
 
     @staticmethod
     def _plan_load_bucket(
@@ -467,17 +520,15 @@ class PathPlanner:
         φ derives from (α̂, β̂, ε̂).  Returns the number of plans dropped.
         """
         self._phi_cache.clear()
-        if self.graphs is not None:
-            self.graphs.invalidate_hops(hops)
         if hops is None:
-            return self.cache.invalidate(lambda key, plan: True)
+            return self.cache.invalidate(lambda key, graph: True)
         hopset = {tuple(h) for h in hops}
         if not hopset:
             return 0
         return self.cache.invalidate(
-            lambda key, plan: any(
+            lambda key, graph: any(
                 tuple(h) in hopset
-                for a in plan.assignments
+                for a in graph.plan.assignments
                 for h in a.path.hops
             )
         )
@@ -492,14 +543,12 @@ class PathPlanner:
         key, so only *stale* entries need dropping).  Returns the number of
         plans invalidated.
         """
-        if self.graphs is not None:
-            self.graphs.invalidate_path(src, dst, path_id)
         return self.cache.invalidate(
-            lambda key, plan: plan.src == src
-            and plan.dst == dst
+            lambda key, graph: graph.plan.src == src
+            and graph.plan.dst == dst
             and any(
                 a.path.path_id == path_id and a.nbytes > 0
-                for a in plan.assignments
+                for a in graph.plan.assignments
             )
         )
 

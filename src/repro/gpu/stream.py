@@ -241,11 +241,8 @@ class Stream:
         and holds it until the flow settles (also on failure)."""
         return self._push(_Copy(self, fabric, hop, nbytes, tag, copy_engines))
 
-    def delay(self, seconds: float, label: str = "delay") -> Event:
-        """Enqueue a fixed-cost operation (sync overheads, kernel stubs).
-
-        ``label`` is accepted for existing callers; ops carry no names.
-        """
+    def delay(self, seconds: float) -> Event:
+        """Enqueue a fixed-cost operation (sync overheads, kernel stubs)."""
         if seconds < 0:
             raise ValueError("negative delay")
         return self._push(_Delay(self, float(seconds)))

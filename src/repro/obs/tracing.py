@@ -11,7 +11,7 @@ time go?" after the fact:
 
 ``transfer`` (root, submit → settle)
   └─ ``admission.queue``   — waiting for an in-flight cap (only if queued)
-  └─ ``plan`` / ``plan.cache_hit``   — Algorithm-1 invocation (Δsim = 0)
+  └─ ``plan`` / ``plan.graph_hit``   — plan-cache miss / hit (Δsim = 0)
   └─ ``pipeline.path[i]``  — one per executed path
        └─ ``pipeline.path[i].chunk[j]``   — staged-path chunk completions
   └─ ``recovery.retry[k]`` — one per replan round after a path fault
@@ -77,7 +77,6 @@ _KIND_STAGE = {
     "recovery.retry": "recovery",
     "pipeline.path": "execution",
     "plan": "planning",
-    "plan.cache_hit": "planning",
     "plan.graph_hit": "planning",
 }
 

@@ -9,7 +9,7 @@ three-state ladder::
     PRESSURED  --depth >= shedding_depth-->  SHEDDING
 
 with hysteresis on the way down: a state is exited only once depth falls
-to ``overload_exit_fraction`` of the threshold that entered it (and the
+to :data:`EXIT_FRACTION` of the threshold that entered it (and the
 EWMA wait is back under its threshold), so the machine does not flap at
 the boundary.
 
@@ -17,12 +17,17 @@ The governor is *inert* unless thresholds are configured: with
 ``overload_pressured_depth``/``overload_shedding_depth``/``overload_wait_pressured``
 all ``None`` the state stays NORMAL and ``degrade_level`` stays 0, which
 keeps default timelines bit-identical.  ``degrade_level`` (0/1/2) is the
-value threaded into planner and graph-cache keys to request cheaper plans.
+value threaded into the plan-cache key to request cheaper plans.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+
+#: Hysteresis: a state is exited at this fraction of its entry threshold.
+EXIT_FRACTION = 0.5
+#: EWMA smoothing factor for the observed queue wait.
+EWMA_ALPHA = 0.2
 
 
 class OverloadState(IntEnum):
@@ -40,8 +45,8 @@ class OverloadGovernor:
         pressured_depth: int | None = None,
         shedding_depth: int | None = None,
         wait_pressured: float | None = None,
-        exit_fraction: float = 0.5,
-        ewma_alpha: float = 0.2,
+        exit_fraction: float = EXIT_FRACTION,
+        ewma_alpha: float = EWMA_ALPHA,
     ) -> None:
         self.pressured_depth = pressured_depth
         self.shedding_depth = shedding_depth

@@ -478,8 +478,6 @@ class TransferManager:
         gov.pressured_depth = cfg.overload_pressured_depth
         gov.shedding_depth = cfg.overload_shedding_depth
         gov.wait_pressured = cfg.overload_wait_pressured
-        gov.exit_fraction = cfg.overload_exit_fraction
-        gov.ewma_alpha = cfg.overload_ewma_alpha
         if not gov.enabled:
             return
         state = gov.update(self.queue_depth, self.engine.now)
@@ -768,11 +766,7 @@ class TransferManager:
             "overload": self.governor.snapshot(),
             "retry_budget": self._retry_budget.snapshot(),
             "load": self.load.stats_snapshot(),
-            "graphs": (
-                self.context.graphs.stats()
-                if getattr(self.context, "graphs", None) is not None
-                else {}
-            ),
+            "graphs": self.context.graphs.stats(),
         }
 
 

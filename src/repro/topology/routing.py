@@ -102,6 +102,8 @@ def enumerate_paths(
     """
     if src == dst:
         raise ValueError("src and dst must differ")
+    if max_gpu_staged is not None and max_gpu_staged < 0:
+        raise ValueError(f"max_gpu_staged must be >= 0 (or None), got {max_gpu_staged}")
     for d in (src, dst):
         if not 0 <= d < topo.num_gpus:
             raise ValueError(f"GPU id {d} out of range 0..{topo.num_gpus - 1}")

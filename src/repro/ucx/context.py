@@ -12,7 +12,6 @@ from collections.abc import Callable
 from repro.core.params import ParameterStore
 from repro.core.path_health import PathHealthRegistry
 from repro.core.planner import PathPlanner
-from repro.core.transfer_graph import GraphCache
 from repro.gpu.runtime import GPURuntime
 from repro.obs import DriftController, Observability
 from repro.obs.tracing import FlightRecorder
@@ -62,24 +61,8 @@ class UCXContext:
             capacity=self.config.flight_capacity,
             enabled=self.config.flight_recorder,
         )
-        self.planner = PathPlanner(
-            topology,
-            self.store,
-            pipelining=self.config.pipelining,
-            sequential_initiation=self.config.sequential_initiation,
-            alignment=self.config.planner_alignment,
-            max_chunks=self.config.max_chunks,
-            obs=obs,
-            flight=self.flight,
-        )
+        self.planner = self._make_planner(self.config)
         self.pipeline = PipelineEngine(self.runtime, obs=obs, flight=self.flight)
-        # Compiled transfer graphs (DESIGN.md §5g): replayed by cuda_ipc,
-        # invalidated through the planner (refresh_params/invalidate_path
-        # forward to it) so a graph never outlives the plan it froze.
-        self.graphs = GraphCache(
-            self.config, capacity=self.config.graph_cache_capacity
-        )
-        self.planner.graphs = self.graphs
         # Path circuit breakers: quarantined paths are excluded from
         # planning and their cached plans dropped (see cuda_ipc recovery).
         self.health = PathHealthRegistry(on_quarantine=self._on_quarantine)
@@ -102,6 +85,23 @@ class UCXContext:
                     metrics=obs.metrics,
                 )
             self._register_collectors(obs)
+
+    def _make_planner(self, config: TransportConfig) -> PathPlanner:
+        return PathPlanner(
+            self.topology,
+            self.store,
+            pipelining=config.pipelining,
+            sequential_initiation=config.sequential_initiation,
+            max_chunks=config.max_chunks,
+            obs=self.obs,
+            flight=self.flight,
+        )
+
+    @property
+    def graphs(self):
+        """The one plan cache: the planner's LRU of compiled transfer
+        graphs (DESIGN.md §5g)."""
+        return self.planner.cache
 
     def _on_quarantine(self, src: int, dst: int, path_id: str) -> None:
         """Health demoted a path: purge cached plans still routing over it."""
@@ -168,26 +168,12 @@ class UCXContext:
     def reconfigure(self, config: TransportConfig) -> None:
         """Swap the transport configuration (planner knobs follow).
 
-        The planner cache is invalidated because pipelining/alignment
-        decisions may change.
+        A fresh planner, and with it an empty plan cache, replaces the old
+        one: cached plans and schedules were shaped by the old knobs.
         """
         self.config = config
         self.flight.enabled = config.flight_recorder
-        self.planner = PathPlanner(
-            self.topology,
-            self.store,
-            pipelining=config.pipelining,
-            sequential_initiation=config.sequential_initiation,
-            alignment=config.planner_alignment,
-            max_chunks=config.max_chunks,
-            obs=self.obs,
-            flight=self.flight,
-        )
-        # Graphs froze plans shaped by the old knobs: rebuild the cache
-        # (its config fingerprint changes with the knobs) and rewire the
-        # invalidation forwarding through the fresh planner.
-        self.graphs = GraphCache(config, capacity=config.graph_cache_capacity)
-        self.planner.graphs = self.graphs
+        self.planner = self._make_planner(config)
         if self.obs is not None and self.obs.drift is not None:
             # The controller invalidates through whichever planner is live.
             self.obs.drift.planner = self.planner

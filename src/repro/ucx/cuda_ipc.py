@@ -20,17 +20,23 @@ from typing import TYPE_CHECKING
 
 from repro.core.chunking import effective_params
 from repro.core.planner import PathAssignment, TransferPlan
+from repro.core.transfer_graph import TransferGraph
 from repro.gpu.errors import PathUnavailable, TransferTimeout
 from repro.sim.engine import Event
 from repro.topology.routing import enumerate_paths
+from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ucx.context import UCXContext
 
-#: Sentinel distinguishing "not computed" from a computed ``None``/empty
-#: value when :meth:`CudaIpcModule._acquire_plan` threads its one-shot load
-#: snapshot and health query into the planning helpers below.
-_UNSET = object()
+#: Per-request software cost, paid by every non-empty put.
+REQUEST_OVERHEAD = 0.4 * us
+#: Eager-protocol send cost (below the rendezvous threshold).
+EAGER_OVERHEAD = 1.0 * us
+#: Rendezvous RTS/CTS handshake cost.
+RNDV_OVERHEAD = 3.0 * us
+#: First recovery backoff; doubles per retry.
+RETRY_BACKOFF = 25 * us
 
 
 @dataclass(frozen=True)
@@ -98,15 +104,7 @@ class CudaIpcModule:
         """
         if nbytes < 0:
             raise ValueError("negative PUT size")
-        manager = getattr(self.context, "transfers", None)
-        if manager is None:  # standalone module (no service wired): direct
-            if deadline is not None and timeout is not None:
-                raise ValueError("pass deadline or timeout, not both")
-            deadline_at = deadline if deadline is not None else (
-                self.context.engine.now + timeout if timeout is not None else None
-            )
-            return self.start_put(src, dst, nbytes, tag=tag, deadline_at=deadline_at)
-        return manager.submit(
+        return self.context.transfers.submit(
             src, dst, nbytes, tag=tag, deadline=deadline, timeout=timeout
         )
 
@@ -217,19 +215,16 @@ class CudaIpcModule:
             )
 
         # Per-request software cost + (cached) IPC handle translation.
-        if cfg.request_overhead > 0:
-            yield engine.timeout(cfg.request_overhead)
+        yield engine.timeout(REQUEST_OVERHEAD)
         yield ctx.runtime.open_ipc(src, dst)
 
         eager = nbytes < cfg.rndv_threshold
         if eager:
-            if cfg.eager_overhead > 0:
-                yield engine.timeout(cfg.eager_overhead)
+            yield engine.timeout(EAGER_OVERHEAD)
             mode = "single"
             protocol = "eager"
         else:
-            if cfg.rndv_overhead > 0:
-                yield engine.timeout(cfg.rndv_overhead)  # RTS/CTS handshake
+            yield engine.timeout(RNDV_OVERHEAD)
             protocol = "rndv"
             if not cfg.multipath:
                 mode = "single"
@@ -238,17 +233,17 @@ class CudaIpcModule:
             else:
                 mode = "dynamic"
         # Overload coupling: the manager's governor may request a cheaper
-        # plan (degrade level joins the plan/graph cache keys), and its
-        # retry budget meters the recovery loop below.  Both are inert at
-        # the defaults (degrade 0, budget disabled).
-        manager = getattr(ctx, "transfers", None)
-        degrade = manager.degrade_level if manager is not None else 0
-        budget = manager.retry_budget if manager is not None else None
-        if budget is not None and not budget.enabled:
+        # plan (the degrade level joins the plan cache key), and its retry
+        # budget meters the recovery loop below.  Both are inert at the
+        # defaults (degrade 0, budget disabled).
+        manager = ctx.transfers
+        budget = manager.retry_budget
+        if not budget.enabled:
             budget = None
-        plan, graph = self._acquire_plan(
-            src, dst, nbytes, mode, trace_id, root_sid, degrade=degrade
+        graph = self._acquire_plan(
+            src, dst, nbytes, mode, trace_id, root_sid, manager.degrade_level
         )
+        plan = graph.plan
 
         # ------------------------------------------------------------------
         # Execute, recovering from path failures/timeouts: each round runs
@@ -266,7 +261,7 @@ class CudaIpcModule:
         # this one moves bytes see the fabric as loaded.  Acquired *after*
         # planning (a transfer never derates against itself), released as
         # soon as the round settles (recovery replans against current load).
-        tracker = manager.load if manager is not None else None
+        tracker = manager.load
         budget_fallback_used = False
         exec_start = engine.now
         retries = 0
@@ -281,7 +276,7 @@ class CudaIpcModule:
         exec_parent = root_sid
         retry_sid = -1
         while True:
-            hold = tracker.acquire(current) if tracker is not None else None
+            hold = tracker.acquire(current)
             try:
                 if resilient:
                     settled = yield ctx.pipeline.execute_settled(
@@ -301,8 +296,7 @@ class CudaIpcModule:
                     )
                     faults = ()
             finally:
-                if hold is not None:
-                    tracker.release(hold)
+                tracker.release(hold)
             delivered += sum(e.nbytes for e in execs)
             delivered += sum(f.delivered for f in faults)
             if tracing and retry_sid >= 0:
@@ -318,12 +312,7 @@ class CudaIpcModule:
                     health.record_failure(src, dst, f.path_id, now=now)
             if not faults:
                 break
-            if graph is not None:
-                # The schedule just proved wrong for the fabric as it is:
-                # drop it so the next same-shape put compiles fresh.  The
-                # recovery replans below always take the cold path.
-                ctx.graphs.discard(graph.key)
-                graph = None
+            graph = None  # recovery replans are uncached
             if fault_time is None:
                 fault_time = min(f.end for f in faults)
             failed_paths.update(f.path_id for f in faults)
@@ -355,7 +344,7 @@ class CudaIpcModule:
                 )
             retries += 1
             self.retries_total += 1
-            backoff = cfg.retry_backoff * (2 ** (retries - 1))
+            backoff = RETRY_BACKOFF * (2 ** (retries - 1))
             budget_scale = 0  # >0 once registered for collective backoff
             if budget is not None:
                 if budget.try_consume((src, dst), engine.now):
@@ -550,10 +539,7 @@ class CudaIpcModule:
         """
         if not self.context.config.contention_aware:
             return None
-        manager = getattr(self.context, "transfers", None)
-        if manager is None:
-            return None
-        return manager.load.snapshot()
+        return self.context.transfers.load.snapshot()
 
     def _acquire_plan(
         self,
@@ -561,65 +547,67 @@ class CudaIpcModule:
         dst: int,
         nbytes: int,
         mode: str,
-        trace_id: int = -1,
-        parent_sid: int = -1,
-        degrade: int = 0,
-    ):
-        """Resolve the transfer's plan, trying compiled-graph replay first.
+        trace_id: int,
+        parent_sid: int,
+        degrade: int,
+    ) -> TransferGraph:
+        """The transfer's plan-cache entry, compiled for execution.
 
-        Returns ``(plan, graph)``; ``graph`` is ``None`` when graphs are
-        disabled (or no cache is wired), otherwise the replayed *or*
-        freshly compiled :class:`~repro.core.transfer_graph.TransferGraph`
-        the execution rounds should drive.
+        A hit is one key build plus one LRU get and records a
+        ``plan.graph_hit`` flight span; a miss plans, caches the plan and
+        records ``plan``.  Either way the entry's schedule is compiled on
+        its first execution.
 
-        ``degrade`` is the overload ladder level: it joins both cache keys,
-        and at level 2 graph compilation is skipped entirely — the shedding
-        state wants the cheapest possible issue path, not an amortisable
-        artifact for a load pattern that should be transient.
-
-        The load snapshot and the health query are taken exactly ONCE here
-        and threaded into the cold path: :meth:`PathHealthRegistry.excluded`
-        has a probe side effect (quarantined -> probing when the probe is
-        due), so querying it a second time for the cold plan would see the
-        path as PROBING (excluded) where the graphs-off transport would
-        have probed it — breaking bit-identity.
+        For dynamic plans the load snapshot and the health query are taken
+        exactly once, before the lookup, because both feed the key.
+        :meth:`PathHealthRegistry.excluded` has a probe side effect
+        (quarantined -> probing when the probe is due), so a second query
+        could see a different exclusion set.
         """
         ctx = self.context
-        graphs = getattr(ctx, "graphs", None)
-        if graphs is None or not ctx.config.transfer_graphs or degrade >= 2:
-            return (
-                self._make_plan(
-                    src, dst, nbytes, mode, trace_id, parent_sid, degrade=degrade
-                ),
-                None,
-            )
+        cfg = ctx.config
+        planner = ctx.planner
+        cache = planner.cache
         flight = ctx.flight
         tracing = flight.enabled and trace_id >= 0
         obs = ctx.obs
-        wall0 = time.perf_counter() if (tracing or obs is not None) else 0.0
+        timed = tracing or obs is not None
+        wall0 = time.perf_counter() if timed else 0.0
         load = None
-        quarantined: tuple[str, ...] = ()
-        health = ctx.health
+        exclude = cfg.exclude_paths
         if mode == "dynamic":
             load = self._load_snapshot()
-            if health is not None:
-                quarantined = health.excluded(src, dst, now=ctx.engine.now)
-        load_key: tuple = ()
-        if load is not None and not load.is_idle:
-            load_key = load.bucket_key()
-        epoch = health.epoch if health is not None else 0
-        key = graphs.key_for(
-            src, dst, nbytes, mode,
-            load_key=load_key, health_epoch=epoch, excluded=quarantined,
-            degrade=degrade,
-        )
-        graph = graphs.get(key)
+            if load is not None and load.is_idle:
+                load = None
+            quarantined = ctx.health.excluded(src, dst, now=ctx.engine.now)
+            exclude = tuple(sorted(set(exclude) | set(quarantined)))
+            key = planner.plan_key(
+                src, dst, nbytes, cfg.include_host, cfg.max_gpu_staged,
+                exclude, () if load is None else load.bucket_key(), degrade,
+            )
+        else:
+            key = (mode, src, dst, nbytes)
+        graph = cache.get(key)
         if graph is not None:
+            graph.replays += 1
+            kind = "plan.graph_hit"
             plan = graph.plan
-            wall = time.perf_counter() - wall0 if (tracing or obs is not None) else 0.0
+        else:
+            kind = "plan"
+            if tracing:
+                flight.active_trace = trace_id
+            try:
+                plan = self._make_plan(src, dst, nbytes, mode, exclude, load, degrade)
+            finally:
+                if tracing:
+                    flight.active_trace = -1
+            graph = TransferGraph(plan)
+            cache.put(key, graph)
+        if timed:
+            wall = time.perf_counter() - wall0
             if tracing:
                 flight.record(
-                    "plan.graph_hit",
+                    kind,
                     trace_id,
                     parent_sid,
                     attrs={
@@ -630,30 +618,12 @@ class CudaIpcModule:
                     },
                     stage_value=wall,
                 )
-            if obs is not None:
-                from repro.core.planner import PathPlanner
-
-                obs.decisions.log_plan(
-                    plan,
-                    cache_hit=True,
-                    wall_time_s=wall,
-                    load_bucket=PathPlanner._plan_load_bucket(plan, load),
-                    trace_id=trace_id if tracing else -1,
-                    graph=True,
+            if obs is not None and kind == "plan.graph_hit":
+                planner.observe_graph_hit(
+                    plan, wall, load, trace_id if tracing else -1
                 )
-                # a graph hit is a plan served from cache (the graph embeds
-                # it): keep the planner's serving counters truthful
-                m = obs.metrics
-                m.counter("planner.plans").inc()
-                m.counter("planner.cache_hits").inc()
-                m.counter("planner.graph_hits").inc()
-            return plan, graph
-        plan = self._make_plan(
-            src, dst, nbytes, mode, trace_id, parent_sid,
-            load=load, quarantined=quarantined, degrade=degrade,
-        )
-        graph = graphs.compile_and_store(key, plan, ctx.pipeline, health_epoch=epoch)
-        return plan, graph
+        cache.compile(graph, ctx.pipeline)
+        return graph
 
     def _make_plan(
         self,
@@ -661,119 +631,36 @@ class CudaIpcModule:
         dst: int,
         nbytes: int,
         mode: str,
-        trace_id: int = -1,
-        parent_sid: int = -1,
-        *,
-        load=_UNSET,
-        quarantined=None,
+        exclude: tuple[str, ...] = (),
+        load=None,
         degrade: int = 0,
     ) -> TransferPlan:
-        """Obtain the mode's plan, recording a flight ``plan`` span.
+        """Plan a cache miss in ``mode`` (synchronous: zero simulated time).
 
-        Planning is synchronous — zero simulated time — so the span is an
-        instantaneous marker whose real cost lives in ``wall_time_s`` (and
-        feeds the ``planning`` stage histogram).  ``flight.active_trace``
-        is set only across this call, which never yields, so interleaved
-        put processes cannot observe each other's trace id.
+        Dynamic plans exclude ``exclude`` (the configured exclusions plus
+        the quarantined paths).  If quarantining left no candidate, fall
+        back to the configured set — a quarantined path is still a better
+        bet than failing outright.
         """
-        ctx = self.context
-        flight = ctx.flight
-        tracing = flight.enabled and trace_id >= 0
-        if not tracing:
-            if mode == "single":
-                return self._single_path_plan(src, dst, nbytes)
-            if mode == "static":
-                return self._static_plan(src, dst, nbytes)
-            return self._dynamic_plan(
-                src, dst, nbytes, load=load, quarantined=quarantined, degrade=degrade
-            )
-        wall0 = time.perf_counter()
-        flight.active_trace = trace_id
+        if mode == "single":
+            return self._single_path_plan(src, dst, nbytes)
+        if mode == "static":
+            return self._static_plan(src, dst, nbytes)
+        cfg = self.context.config
+        planner = self.context.planner
+        kwargs = {
+            "include_host": cfg.include_host,
+            "max_gpu_staged": cfg.max_gpu_staged,
+            "load": load,
+            "degrade": degrade,
+            "use_cache": False,
+        }
         try:
-            if mode == "single":
-                plan = self._single_path_plan(src, dst, nbytes)
-            elif mode == "static":
-                plan = self._static_plan(src, dst, nbytes)
-            else:
-                plan = self._dynamic_plan(
-                    src, dst, nbytes, load=load, quarantined=quarantined,
-                    degrade=degrade,
-                )
-        finally:
-            flight.active_trace = -1
-        wall = time.perf_counter() - wall0
-        flight.record(
-            "plan.cache_hit" if plan.from_cache else "plan",
-            trace_id,
-            parent_sid,
-            attrs={
-                "mode": mode,
-                "paths": plan.num_active_paths,
-                "predicted": plan.predicted_time,
-                "wall_time_s": wall,
-            },
-            stage_value=wall,
-        )
-        return plan
-
-    def _dynamic_plan(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        *,
-        load=_UNSET,
-        quarantined=None,
-        degrade: int = 0,
-    ) -> TransferPlan:
-        """Planner invocation with quarantined paths excluded.
-
-        Exclusions are part of the planner's cache key, so health-driven
-        narrowing never serves a stale cached plan.  If quarantining left
-        no candidate, fall back to the configured set — a quarantined path
-        is still a better bet than failing outright.
-
-        ``load``/``quarantined`` arrive precomputed from
-        :meth:`_acquire_plan` (the graph-key probe); when unset they are
-        computed here, preserving the single health query per planning.
-        """
-        ctx = self.context
-        cfg = ctx.config
-        exclude = cfg.exclude_paths
-        if load is _UNSET:
-            load = self._load_snapshot()
-        health = ctx.health
-        if quarantined is None:
-            quarantined = (
-                health.excluded(src, dst, now=ctx.engine.now)
-                if health is not None
-                else ()
-            )
-        if quarantined:
-            merged = tuple(sorted(set(exclude) | set(quarantined)))
-            try:
-                return ctx.planner.plan(
-                    src,
-                    dst,
-                    nbytes,
-                    include_host=cfg.include_host,
-                    max_gpu_staged=cfg.max_gpu_staged,
-                    exclude=merged,
-                    load=load,
-                    degrade=degrade,
-                )
-            except ValueError:
-                pass  # everything quarantined: use the configured set
-        return ctx.planner.plan(
-            src,
-            dst,
-            nbytes,
-            include_host=cfg.include_host,
-            max_gpu_staged=cfg.max_gpu_staged,
-            exclude=exclude,
-            load=load,
-            degrade=degrade,
-        )
+            return planner.plan(src, dst, nbytes, exclude=exclude, **kwargs)
+        except ValueError:
+            if set(exclude) == set(cfg.exclude_paths):
+                raise
+        return planner.plan(src, dst, nbytes, exclude=cfg.exclude_paths, **kwargs)
 
     def _replan(
         self, src: int, dst: int, remaining: int, failed_paths: set[str]

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.planner import PathAssignment, TransferPlan
+from repro.core.transfer_graph import CompiledPath, TransferGraph, compile_plan
 from repro.gpu.errors import LinkFailure, TransferTimeout
 from repro.gpu.runtime import GPURuntime
 from repro.gpu.stream import Stream
 from repro.sim.engine import Engine, Event
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.transfer_graph import CompiledPath, TransferGraph
     from repro.obs import Observability
 
 #: Precomputed flight-span kind strings for the common fan-outs, so the
@@ -155,33 +155,37 @@ class PipelineEngine:
         *,
         tag: str = "",
         trace: tuple[int, int] = (-1, -1),
-        graph: "TransferGraph | None" = None,
+        graph: TransferGraph | None = None,
     ) -> Event:
         """Run all path assignments concurrently; event carries the
         list of :class:`PathExecution` results (completion = slowest path,
         matching Eq. 4).  ``trace`` is the flight-recorder identity
         (``trace_id, parent_sid``) the per-path spans attach under.
-        ``graph`` replays a compiled schedule — same ops, setup skipped."""
+        ``graph`` is the plan's compiled cache entry; without one the plan
+        is compiled here."""
         active = plan.active_assignments
         if not active:
             done = self.engine.event()
             done.succeed([])
             return done
-        self.transfers_executed += 1
-        if graph is not None:
-            self.transfers_replayed += 1
-        procs = []
-        for i, a in enumerate(active):
-            procs.append(
-                self.engine.process(
-                    self._run_path(
-                        plan, a, tag, trace=trace, path_index=i,
-                        compiled=None if graph is None else graph.compiled_for(i),
-                    ),
-                    name=f"path:{a.path.path_id}",
-                )
+        procs = [
+            self.engine.process(
+                self._run_path(plan, cp, tag, trace=trace, path_index=i),
+                name=f"path:{cp.assignment.path.path_id}",
             )
+            for i, cp in enumerate(self._schedule(plan, graph))
+        ]
         return self.engine.all_of(procs)
+
+    def _schedule(
+        self, plan: TransferPlan, graph: TransferGraph | None
+    ) -> tuple[CompiledPath, ...]:
+        """Count one execution and return its compiled per-path schedule."""
+        self.transfers_executed += 1
+        if graph is None:
+            return compile_plan(plan, self)
+        self.transfers_replayed += 1
+        return graph.paths
 
     # ------------------------------------------------------------------
     def execute_settled(
@@ -191,7 +195,7 @@ class PipelineEngine:
         tag: str = "",
         deadline_factor: float | None = None,
         trace: tuple[int, int] = (-1, -1),
-        graph: "TransferGraph | None" = None,
+        graph: TransferGraph | None = None,
     ) -> Event:
         """Run all paths and *settle* every one of them.
 
@@ -220,23 +224,17 @@ class PipelineEngine:
         tag: str,
         deadline_factor: float | None,
         trace: tuple[int, int] = (-1, -1),
-        graph: "TransferGraph | None" = None,
+        graph: TransferGraph | None = None,
     ):
-        active = plan.active_assignments
-        if not active:
+        if not plan.active_assignments:
             return SettledExecution()
-        self.transfers_executed += 1
-        if graph is not None:
-            self.transfers_replayed += 1
         t0 = self.engine.now
         entries: list[tuple[PathAssignment, Event, _PathProgress]] = []
-        for i, a in enumerate(active):
+        for i, cp in enumerate(self._schedule(plan, graph)):
+            a = cp.assignment
             progress = _PathProgress()
             proc = self.engine.process(
-                self._run_path(
-                    plan, a, tag, progress, trace=trace, path_index=i,
-                    compiled=None if graph is None else graph.compiled_for(i),
-                ),
+                self._run_path(plan, cp, tag, progress, trace=trace, path_index=i),
                 name=f"path:{a.path.path_id}",
             )
             proc.add_callback(
@@ -367,14 +365,14 @@ class PipelineEngine:
     def _run_path(
         self,
         plan: TransferPlan,
-        a: PathAssignment,
+        compiled: CompiledPath,
         tag: str,
         progress: _PathProgress | None = None,
         *,
         trace: tuple[int, int] = (-1, -1),
         path_index: int = 0,
-        compiled: "CompiledPath | None" = None,
     ):
+        a = compiled.assignment
         start = self.engine.now
         label = f"{tag}/{a.path.path_id}" if tag else a.path.path_id
         # The path's flight span is recorded in one shot when the path
@@ -386,12 +384,9 @@ class PipelineEngine:
         finals: list = []
         try:
             if not a.path.is_staged:
-                if compiled is not None:
-                    stream = self._stream(compiled.stream_keys[0], plan.src)
-                else:
-                    stream = self._stream(
-                        (plan.src, plan.dst, a.path.path_id, "direct"), plan.src
-                    )
+                stream = self._stream(
+                    compiled.stream_keys[0], compiled.stream_devices[0]
+                )
                 done = self.runtime.copy_on_hop_async(
                     a.path.hops[0], a.nbytes, stream, tag=f"{label}:direct"
                 )
@@ -409,43 +404,29 @@ class PipelineEngine:
                     trace if traced else None, path_index, finals,
                 )
 
-            # Staged path: three-step chunk loop over two streams.  A
-            # compiled schedule resolves the same values without the
-            # per-transfer derivation; the op sequence is identical, down
-            # to the tag strings (``label + suffix`` == the f-strings).
+            # Staged path: three-step chunk loop over two streams, driven
+            # by the compiled schedule (tags are ``label + suffix``).
             hop1, hop2 = a.path.hops
-            if compiled is not None:
-                s1 = self._stream(compiled.stream_keys[0], compiled.stream_devices[0])
-                s2 = self._stream(compiled.stream_keys[1], compiled.stream_devices[1])
-                epsilon = compiled.epsilon
-                chunks = compiled.chunk_sizes
-            else:
-                stage_dev = a.path.via if a.path.via is not None else plan.src
-                s1 = self._stream((plan.src, plan.dst, a.path.path_id, "h1"), plan.src)
-                s2 = self._stream((plan.src, plan.dst, a.path.path_id, "h2"), stage_dev)
-                epsilon = self.runtime.sync_cost(via_gpu=a.path.via is not None)
-                chunks = self._chunk_sizes(a.nbytes, a.chunks)
+            s1 = self._stream(compiled.stream_keys[0], compiled.stream_devices[0])
+            s2 = self._stream(compiled.stream_keys[1], compiled.stream_devices[1])
+            epsilon = compiled.epsilon
+            chunks = compiled.chunk_sizes
+            h1_suffixes = compiled.h1_suffixes
+            event_suffixes = compiled.event_suffixes
+            h2_suffixes = compiled.h2_suffixes
             for c, chunk_bytes in enumerate(chunks):
-                if compiled is not None:
-                    h1_tag = label + compiled.h1_suffixes[c]
-                    ev_name = label + compiled.event_suffixes[c]
-                    sync_label = label + compiled.sync_suffixes[c]
-                    h2_tag = label + compiled.h2_suffixes[c]
-                else:
-                    h1_tag = f"{label}:h1:{c}"
-                    ev_name = f"{label}:c{c}"
-                    sync_label = f"{label}:sync:{c}"
-                    h2_tag = f"{label}:h2:{c}"
                 # Step 1: source -> staging location.
-                self.runtime.copy_on_hop_async(hop1, chunk_bytes, s1, tag=h1_tag)
-                arrived = self.runtime.create_event(ev_name)
+                self.runtime.copy_on_hop_async(
+                    hop1, chunk_bytes, s1, tag=label + h1_suffixes[c]
+                )
+                arrived = self.runtime.create_event(label + event_suffixes[c])
                 arrived.record(s1)
                 # Step 2: synchronization point on the staging device.
                 s2.wait_event(arrived)
-                s2.delay(epsilon, label=sync_label)
+                s2.delay(epsilon)
                 # Step 3: staging location -> destination.
                 final = self.runtime.copy_on_hop_async(
-                    hop2, chunk_bytes, s2, tag=h2_tag
+                    hop2, chunk_bytes, s2, tag=label + h2_suffixes[c]
                 )
                 if progress is not None:
                     final.add_callback(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from repro.units import KiB, parse_size, us
+from repro.units import KiB, parse_size
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,13 @@ class TransportConfig:
     sequential_initiation: bool = True
     # Static baseline: when set, use these fixed shares instead of the model
     static_shares: tuple[StaticShare, ...] = ()
-    # Protocol thresholds / overheads
+    # Protocol threshold (the per-request, eager and rendezvous overheads
+    # are constants in repro.ucx.cuda_ipc)
     rndv_threshold: int = 512 * KiB  # below: eager single-path
-    rndv_overhead: float = 3.0 * us  # RTS/CTS handshake cost
-    eager_overhead: float = 1.0 * us
-    request_overhead: float = 0.4 * us  # per-request software cost
-    planner_alignment: int = 256
     # Failure recovery (see DESIGN.md §5d).  With max_path_retries=0 and no
     # deadline_factor the transport runs the legacy fail-fast path with zero
     # recovery bookkeeping.
     max_path_retries: int = 3  # replans of a put's remaining bytes
-    retry_backoff: float = 25 * us  # first backoff; doubles per retry
     deadline_factor: float | None = None  # per-path watchdog: T_i x factor
     # Transfer service (see DESIGN.md §5e).  All off by default: the
     # TransferManager then dispatches synchronously and plans at idle load,
@@ -62,11 +58,6 @@ class TransportConfig:
     # and the measured overhead stays under the perfsuite's 3% gate.
     flight_recorder: bool = True
     flight_capacity: int = 65_536  # span ring slots
-    # Compiled transfer graphs (see DESIGN.md §5g).  On by default: replay
-    # is pure observation (bit-identical timelines), so the flag exists
-    # only for certification runs and A/B benchmarking.
-    transfer_graphs: bool = True
-    graph_cache_capacity: int = 256  # compiled graphs kept per context
     # Overload resilience (see DESIGN.md §5h).  All off by default: with no
     # queue limit, no overload thresholds, and no retry budgets the service
     # behaves exactly as before (bit-identical timelines).
@@ -75,8 +66,6 @@ class TransportConfig:
     overload_pressured_depth: int | None = None  # queue depth entering PRESSURED
     overload_shedding_depth: int | None = None  # queue depth entering SHEDDING
     overload_wait_pressured: float | None = None  # EWMA queue-wait entering PRESSURED
-    overload_exit_fraction: float = 0.5  # hysteresis: exit at frac x enter threshold
-    overload_ewma_alpha: float = 0.2  # EWMA smoothing for observed queue wait
     degrade_under_pressure: bool = True  # ask planner for cheaper plans when hot
     retry_budget_total: int | None = None  # global retry tokens (None=unlimited)
     retry_budget_per_pair: int | None = None  # per-(src,dst) retry tokens
@@ -87,12 +76,12 @@ class TransportConfig:
             raise ValueError("rndv_threshold must be >= 0")
         if self.max_chunks < 1:
             raise ValueError("max_chunks must be >= 1")
-        if any(o < 0 for o in (self.rndv_overhead, self.eager_overhead, self.request_overhead)):
-            raise ValueError("overheads must be >= 0")
+        if self.max_gpu_staged is not None and self.max_gpu_staged < 0:
+            raise ValueError(
+                f"max_gpu_staged must be >= 0 (or None), got {self.max_gpu_staged}"
+            )
         if self.max_path_retries < 0:
             raise ValueError("max_path_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
         if self.deadline_factor is not None and self.deadline_factor <= 1.0:
             raise ValueError("deadline_factor must be > 1 (or None to disable)")
         if self.max_inflight_total is not None and self.max_inflight_total < 1:
@@ -103,8 +92,6 @@ class TransportConfig:
             raise ValueError("coalesce_threshold must be >= 0")
         if self.flight_capacity < 1:
             raise ValueError("flight_capacity must be >= 1")
-        if self.graph_cache_capacity < 1:
-            raise ValueError("graph_cache_capacity must be >= 1")
         if self.admission_queue_limit is not None and self.admission_queue_limit < 1:
             raise ValueError("admission_queue_limit must be >= 1 (or None)")
         if self.shed_policy not in ("reject-newest", "reject-cheapest", "tenant-fair"):
@@ -126,10 +113,6 @@ class TransportConfig:
             )
         if self.overload_wait_pressured is not None and self.overload_wait_pressured <= 0:
             raise ValueError("overload_wait_pressured must be > 0 (or None)")
-        if not 0.0 < self.overload_exit_fraction < 1.0:
-            raise ValueError("overload_exit_fraction must be in (0, 1)")
-        if not 0.0 < self.overload_ewma_alpha <= 1.0:
-            raise ValueError("overload_ewma_alpha must be in (0, 1]")
         if self.retry_budget_total is not None and self.retry_budget_total < 0:
             raise ValueError("retry_budget_total must be >= 0 (or None)")
         if self.retry_budget_per_pair is not None and self.retry_budget_per_pair < 0:
@@ -183,12 +166,9 @@ class TransportConfig:
             sequential_initiation=flag("UCX_MP_SEQ_INIT", True),
             contention_aware=flag("UCX_MP_CONTENTION_AWARE", False),
             flight_recorder=flag("UCX_MP_FLIGHT_RECORDER", True),
-            transfer_graphs=flag("UCX_MP_TRANSFER_GRAPHS", True),
         )
         if "UCX_MP_FLIGHT_CAPACITY" in env:
             cfg = cfg.with_(flight_capacity=conv("UCX_MP_FLIGHT_CAPACITY", int))
-        if "UCX_MP_GRAPH_CACHE" in env:
-            cfg = cfg.with_(graph_cache_capacity=conv("UCX_MP_GRAPH_CACHE", int))
         if "UCX_MP_MAX_GPU_STAGED" in env:
             cfg = cfg.with_(max_gpu_staged=conv("UCX_MP_MAX_GPU_STAGED", int))
         if "UCX_MP_EXCLUDE" in env:

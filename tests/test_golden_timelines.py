@@ -211,9 +211,9 @@ def _cache_context(config: TransportConfig | None = None, **knobs):
     return _context("beluga", (config or TransportConfig()).with_(**knobs))
 
 
-def _repeated_shapes(fault_at: float | None = None):
+def _repeated_shapes(fault_at: float | None = None, **knobs):
     """Same-shape puts on 0 -> 1 plus one on 2 -> 3, one at a time per pair."""
-    engine, tracer, ctx = _cache_context(max_inflight_per_pair=1)
+    engine, tracer, ctx = _cache_context(max_inflight_per_pair=1, **knobs)
     if fault_at is not None:
         FaultSchedule(
             LinkDown(ctx.topology.direct_hop(0, 1)[0], at=fault_at, duration=1e3)
@@ -225,14 +225,14 @@ def _repeated_shapes(fault_at: float | None = None):
     return engine, tracer, results
 
 
-def run_cache_repeated(linkdown: bool) -> str:
+def run_cache_repeated(linkdown: bool, **knobs) -> str:
     """Repeated shapes; optionally the direct link dies mid-way through the
     second put, so later same-shape puts run after a recovery."""
     fault_at = None
     if linkdown:
-        _e, _t, base = _repeated_shapes()
+        _e, _t, base = _repeated_shapes(**knobs)
         fault_at = base[0].duration + 0.45 * base[1].duration
-    engine, tracer, results = _repeated_shapes(fault_at)
+    engine, tracer, results = _repeated_shapes(fault_at, **knobs)
     if linkdown:
         assert any(r.retries > 0 for r in results)
     return _cache_digest(engine, tracer, results)
@@ -351,6 +351,14 @@ def test_fixture_covers_every_scenario():
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_timeline_matches_golden_digest(scenario):
     assert SCENARIOS[scenario]() == _golden()[scenario]
+
+
+@pytest.mark.parametrize("linkdown", [False, True], ids=["plain", "linkdown"])
+def test_cache_digest_without_flight_recorder(linkdown):
+    """Cached executions do not depend on the recorder's bookkeeping."""
+    scenario = "cache:beluga:repeated" + ("_linkdown" if linkdown else "")
+    digest = run_cache_repeated(linkdown, flight_recorder=False)
+    assert digest == _golden()[scenario]
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

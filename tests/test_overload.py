@@ -470,8 +470,8 @@ class TestConfigValidation:
             {"overload_pressured_depth": 0},
             {"overload_pressured_depth": 4, "overload_shedding_depth": 2},
             {"overload_wait_pressured": 0.0},
-            {"overload_exit_fraction": 1.5},
-            {"overload_ewma_alpha": 0.0},
+            {"overload_shedding_depth": 0},
+            {"retry_budget_per_pair": -1},
             {"retry_budget_total": -1},
             {"retry_budget_refill": -0.5},
         ],

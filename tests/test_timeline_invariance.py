@@ -213,97 +213,6 @@ def test_flight_recorder_off_bit_identical_across_recovery():
     assert eng_on.now != eng0.now  # and it changed the timeline it traced
 
 
-def _graph_workload(
-    *,
-    transfer_graphs: bool,
-    fault_at: float | None = None,
-    flight_recorder: bool = True,
-):
-    """A transport workload with *repeated same-shape puts*, so compiled
-    graph replay actually fires (the first put of each shape compiles, the
-    repeats replay).  Returns the context too, for cache-stat assertions."""
-    from repro.sim.faults import FaultSchedule as Schedule
-    from repro.topology import systems
-    from repro.ucx import TransportConfig, UCXContext
-
-    eng = Engine()
-    tracer = Tracer()
-    topo = systems.beluga()
-    ctx = UCXContext(
-        eng,
-        topo,
-        config=TransportConfig(
-            max_inflight_per_pair=1,
-            flight_recorder=flight_recorder,
-            transfer_graphs=transfer_graphs,
-        ),
-        tracer=tracer,
-    )
-    if fault_at is not None:
-        Schedule(
-            LinkDown(topo.direct_hop(0, 1)[0], at=fault_at, duration=1e3)
-        ).attach(ctx.runtime.fabric)
-    sizes = (8 * MiB, 8 * MiB, 2 * MiB, 8 * MiB, 2 * MiB, MiB, MiB)
-    events = [ctx.put(0, 1, n, tag=f"t{i}") for i, n in enumerate(sizes)]
-    events.append(ctx.put(2, 3, 4 * MiB, tag="x"))
-    results = tuple(eng.run(until=ev) for ev in events)
-    return eng, tracer, results, ctx
-
-
-def _assert_bit_identical(run_a, run_b):
-    eng_a, tr_a, res_a, ctx_a = run_a
-    eng_b, tr_b, res_b, ctx_b = run_b
-    assert tr_a.records == tr_b.records
-    assert eng_a.now == eng_b.now
-    assert res_a == res_b
-    fab_a, fab_b = ctx_a.runtime.fabric, ctx_b.runtime.fabric
-    assert sorted(fab_a.channels) == sorted(fab_b.channels)
-    for name, ch_a in fab_a.channels.items():
-        ch_b = fab_b.channel(name)
-        assert ch_a.total_bytes == ch_b.total_bytes
-        assert ch_a.busy_time == ch_b.busy_time
-        assert ch_a.completed_bytes == ch_b.completed_bytes
-
-
-def test_graph_replay_bit_identical():
-    """ISSUE 8 acceptance: a replayed transfer's observable timeline —
-    tracer records, clock, results, per-channel byte accounting — is
-    bit-identical to cold-path execution, with the flight recorder on."""
-    on = _graph_workload(transfer_graphs=True)
-    off = _graph_workload(transfer_graphs=False)
-    # replay genuinely fired (the certification would prove nothing if
-    # every put silently took the cold path)
-    stats = on[3].graphs.stats()
-    assert stats["hits"] > 0 and stats["compiles"] > 0
-    assert on[3].pipeline.transfers_replayed > 0
-    assert off[3].pipeline.transfers_replayed == 0
-    assert off[3].graphs.stats()["hits"] == 0
-    _assert_bit_identical(on, off)
-
-
-def test_graph_replay_bit_identical_recorder_off():
-    """Same certification with the flight recorder disabled — replay must
-    not depend on the recorder's span bookkeeping."""
-    on = _graph_workload(transfer_graphs=True, flight_recorder=False)
-    off = _graph_workload(transfer_graphs=False, flight_recorder=False)
-    assert on[3].graphs.stats()["hits"] > 0
-    _assert_bit_identical(on, off)
-
-
-def test_graph_replay_bit_identical_across_recovery():
-    """Replay through the retry/replan machinery: faults invalidate the
-    affected graph, recovery replans take the cold path, and the timeline
-    still matches graphs-off bit for bit."""
-    _eng0, _tr0, res0, _ctx0 = _graph_workload(transfer_graphs=False)
-    fault_at = res0[0].duration + 0.45 * res0[1].duration
-    on = _graph_workload(transfer_graphs=True, fault_at=fault_at)
-    off = _graph_workload(transfer_graphs=False, fault_at=fault_at)
-    assert any(r.retries > 0 for r in on[2])  # the fault actually bit
-    # the faulted graph was discarded so the next same-shape put recompiles
-    assert on[3].graphs.recovery_invalidations > 0
-    _assert_bit_identical(on, off)
-
-
 def _overload_workload(extra: dict, *, fault_at: float | None = None):
     """The `_ucx_workload` mix with overload-layer knobs layered on top."""
     from repro.sim.faults import FaultSchedule as Schedule

@@ -154,6 +154,12 @@ class TestRouting:
         paths = enumerate_paths(topo, 0, 1, max_gpu_staged=1, include_host=False)
         assert [p.path_id for p in paths] == ["direct", "gpu:2"]
 
+    def test_negative_max_gpu_staged_rejected(self):
+        # a negative cap used to slice staged candidates from the end,
+        # silently dropping gpu:3
+        with pytest.raises(ValueError, match="max_gpu_staged"):
+            enumerate_paths(systems.beluga(), 0, 1, max_gpu_staged=-1)
+
     def test_no_host(self):
         topo = systems.beluga()
         paths = enumerate_paths(topo, 0, 1, include_host=False)

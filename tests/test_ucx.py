@@ -46,6 +46,15 @@ class TestTransportConfig:
         assert cfg.max_chunks == 32
         assert cfg.rndv_threshold == 256 * KiB
 
+    def test_negative_max_gpu_staged_rejected(self):
+        with pytest.raises(ValueError, match="max_gpu_staged"):
+            TransportConfig(max_gpu_staged=-1)
+        with pytest.raises(ValueError, match="max_gpu_staged"):
+            TransportConfig.from_env({"UCX_MP_MAX_GPU_STAGED": "-1"})
+        assert TransportConfig.from_env(
+            {"UCX_MP_MAX_GPU_STAGED": "0"}
+        ).max_gpu_staged == 0
+
     def test_from_env_bad_flag(self):
         with pytest.raises(ValueError):
             TransportConfig.from_env({"UCX_MP_ENABLE": "maybe"})
