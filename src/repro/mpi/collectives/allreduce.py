@@ -8,6 +8,9 @@ handles any count.  :func:`allreduce` dispatches.
 
 Reduction arithmetic is performed for real on the payloads (so tests can
 check numerics) *and* charged as simulated GPU time via ``view.compute``.
+It runs in place: partner blocks are received into one scratch array and
+reduced with ``op(keep, scratch, out=keep)``, and allgather blocks are
+received straight into the result vector.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mpi.comm import RankView
+from repro.mpi.datatypes import check_op
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -32,6 +36,7 @@ def allreduce(view: RankView, array, op=np.add):
 
 def allreduce_recursive(view: RankView, array, op=np.add):
     """Recursive halving (scatter-reduce) + recursive doubling (allgather)."""
+    check_op(op)
     if not _is_power_of_two(view.size):
         raise ValueError("recursive allreduce requires power-of-two ranks")
     buf = np.array(array, copy=True)
@@ -43,7 +48,9 @@ def allreduce_recursive(view: RankView, array, op=np.add):
         return buf
 
     # Phase 1: recursive halving — each step trades half of the active
-    # region with the partner and reduces the kept half.
+    # region with the partner and reduces the kept half.  The kept half is
+    # never longer than ceil(n/2), so one scratch array takes every step.
+    scratch = np.empty((buf.size + 1) // 2, dtype=buf.dtype)
     steps = []
     offset, count = 0, buf.size
     dist = p // 2
@@ -57,16 +64,15 @@ def allreduce_recursive(view: RankView, array, op=np.add):
         else:
             send_off, send_cnt = offset, half
             keep_off, keep_cnt = offset + half, count - half
+        keep = buf[keep_off : keep_off + keep_cnt]
         received = yield from view.sendrecv(
             partner,
             partner,
             payload=buf[send_off : send_off + send_cnt],
             tag=tag + step_id,
+            out=scratch[:keep_cnt],
         )
-        keep = buf[keep_off : keep_off + keep_cnt]
-        if received.size != keep.size:
-            raise ValueError("allreduce region mismatch (unequal payloads?)")
-        buf[keep_off : keep_off + keep_cnt] = op(keep, received)
+        op(keep, received, out=keep)
         yield from view.compute(int(received.nbytes))
         steps.append((send_off, send_cnt, keep_off, keep_cnt, partner))
         offset, count = keep_off, keep_cnt
@@ -76,20 +82,20 @@ def allreduce_recursive(view: RankView, array, op=np.add):
     # Phase 2: recursive doubling — replay in reverse, exchanging owned
     # regions so everyone reassembles the fully reduced vector.
     for send_off, send_cnt, keep_off, keep_cnt, partner in reversed(steps):
-        received = yield from view.sendrecv(
+        yield from view.sendrecv(
             partner,
             partner,
             payload=buf[keep_off : keep_off + keep_cnt],
             tag=tag + step_id,
+            out=buf[send_off : send_off + send_cnt],
         )
-        buf[send_off : send_off + send_cnt] = received
-        keep_off = min(keep_off, send_off)
         step_id += 1
     return buf
 
 
 def allreduce_ring(view: RankView, array, op=np.add):
     """Ring reduce-scatter + ring allgather (any rank count)."""
+    check_op(op)
     buf = np.array(array, copy=True)
     if buf.ndim != 1:
         raise ValueError("allreduce payloads must be 1-D")
@@ -105,27 +111,31 @@ def allreduce_ring(view: RankView, array, op=np.add):
 
     right = (rank + 1) % p
     left = (rank - 1) % p
+    scratch = np.empty(int(np.diff(bounds).max()), dtype=buf.dtype)
 
     # Reduce-scatter: after p-1 steps, rank owns the fully reduced block
     # (rank+1) % p.
     for s in range(p - 1):
-        send_idx = (rank - s) % p
-        recv_idx = (rank - s - 1) % p
+        target = block(rank - s - 1)
         received = yield from view.sendrecv(
-            right, left, payload=block(send_idx), tag=tag + s
+            right,
+            left,
+            payload=block(rank - s),
+            tag=tag + s,
+            out=scratch[: target.size],
         )
-        target = block(recv_idx)
-        target[:] = op(target, received)
+        op(target, received, out=target)
         yield from view.compute(int(received.nbytes))
 
     # Allgather: circulate the reduced blocks.
     for s in range(p - 1):
-        send_idx = (rank - s + 1) % p
-        recv_idx = (rank - s) % p
-        received = yield from view.sendrecv(
-            right, left, payload=block(send_idx), tag=tag + p + s
+        yield from view.sendrecv(
+            right,
+            left,
+            payload=block(rank - s + 1),
+            tag=tag + p + s,
+            out=block(rank - s),
         )
-        block(recv_idx)[:] = received
     return buf
 
 

@@ -46,21 +46,23 @@ def alltoall_bruck(view: RankView, blocks):
     tag = view.next_collective_tag()
 
     # Phase 1: local rotation so slot i holds data for rank (rank + i) % p.
-    slots = [arrs[(rank + i) % p].copy() for i in range(p)]
+    # Every slot but 0 is sent at least once and replaced by the received
+    # copy, so only slot 0 needs copying to keep the result off ``blocks``.
+    slots = [arrs[(rank + i) % p] for i in range(p)]
+    slots[0] = slots[0].copy()
 
-    # Phase 2: log rounds; round k ships slots whose index has bit k set.
+    # Phase 2: log rounds; round k ships the slots whose index has bit k
+    # set, as one {slot: block} bundle (same wire bytes as concatenating).
     k = 1
     step = 0
     while k < p:
         send_to = (rank + k) % p
         recv_from = (rank - k) % p
-        idx = [i for i in range(p) if i & k]
-        payload = np.concatenate([slots[i] for i in idx])
+        bundle = {i: slots[i] for i in range(p) if i & k}
         received = yield from view.sendrecv(
-            send_to, recv_from, payload=payload, tag=tag + step
+            send_to, recv_from, payload=bundle, tag=tag + step
         )
-        pieces = np.split(received, len(idx)) if len(idx) else []
-        for i, piece in zip(idx, pieces):
+        for i, piece in received.items():
             slots[i] = piece
         k <<= 1
         step += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mpi.comm import RankView
+from repro.mpi.datatypes import check_op
 
 
 def reduce_scatter_ring(view: RankView, array, op=np.add):
@@ -14,6 +15,7 @@ def reduce_scatter_ring(view: RankView, array, op=np.add):
     piece of the input vector this rank owns (the standard MPI block
     assignment: rank r owns block r).
     """
+    check_op(op)
     buf = np.array(array, copy=True)
     if buf.ndim != 1:
         raise ValueError("reduce_scatter payloads must be 1-D")
@@ -29,25 +31,27 @@ def reduce_scatter_ring(view: RankView, array, op=np.add):
 
     right = (rank + 1) % p
     left = (rank - 1) % p
+    scratch = np.empty(int(np.diff(bounds).max()), dtype=buf.dtype)
     # After p-1 steps, rank owns block (rank + 1) % p fully reduced; one
     # final neighbour shift moves ownership to block == rank.
     for s in range(p - 1):
-        send_idx = (rank - s) % p
-        recv_idx = (rank - s - 1) % p
+        target = block(rank - s - 1)
         received = yield from view.sendrecv(
-            right, left, payload=block(send_idx), tag=tag + s
+            right,
+            left,
+            payload=block(rank - s),
+            tag=tag + s,
+            out=scratch[: target.size],
         )
-        target = block(recv_idx)
-        target[:] = op(target, received)
+        op(target, received, out=target)
         yield from view.compute(int(received.nbytes))
     owned = (rank + 1) % p
     if owned != rank:
         # Block b sits on rank (b - 1) % p: ship mine to the rank that
         # needs it (rank + 1) and take mine from (rank - 1).
-        received = yield from view.sendrecv(
-            right, left, payload=block(owned), tag=tag + p
+        yield from view.sendrecv(
+            right, left, payload=block(owned), tag=tag + p, out=block(rank)
         )
-        block(rank)[:] = received
     start, stop = int(bounds[rank]), int(bounds[rank + 1])
     return buf[start:stop].copy(), (start, stop)
 

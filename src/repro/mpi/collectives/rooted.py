@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mpi.comm import RankView
+from repro.mpi.datatypes import check_op
 
 
 def _children_and_parent(vrank: int, p: int) -> tuple[list[int], int | None]:
@@ -100,6 +101,7 @@ def gather_binomial(view: RankView, array, root: int = 0):
 
 def reduce_binomial(view: RankView, array, op=np.add, root: int = 0):
     """Reduce to the root along a binomial tree, applying ``op`` per hop."""
+    check_op(op)
     p, rank = view.size, view.rank
     if not 0 <= root < p:
         raise ValueError("root out of range")
@@ -108,10 +110,11 @@ def reduce_binomial(view: RankView, array, op=np.add, root: int = 0):
     children, parent = _children_and_parent(vrank, p)
 
     acc = np.array(array, copy=True)
+    scratch = np.empty_like(acc) if children else None
     for child_v in sorted(children):
-        received = yield from view.recv((child_v + root) % p, tag=tag)
-        acc = op(acc, received)
-        yield from view.compute(int(np.asarray(received).nbytes))
+        received = yield from view.recv((child_v + root) % p, tag=tag, out=scratch)
+        op(acc, received, out=acc)
+        yield from view.compute(int(received.nbytes))
     if parent is not None:
         yield from view.send((parent + root) % p, payload=acc, tag=tag)
         return None

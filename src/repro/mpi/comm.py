@@ -5,6 +5,11 @@ Point-to-point matching follows MPI semantics: a transfer starts once both
 the send and a matching receive are posted (rendezvous — correct for the
 large GPU messages this stack targets), matching on (source, tag) with
 wildcards, in posting order.
+
+Each message with a payload costs one host copy (DESIGN.md §5c): ``isend``
+snapshots at post and hands the snapshot over; ``send``/``sendrecv`` lend
+the caller's buffer and delivery copies it, into ``out=`` if given, before
+either request finishes.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from collections import deque
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.mpi.datatypes import copy_payload, payload_nbytes
 from repro.mpi.request import Request, waitall
@@ -31,6 +38,7 @@ class _PendingSend:
     nbytes: int
     payload: Any
     request: Request
+    lent: bool  # payload is the sender's own buffer: copy it on delivery
 
 
 @dataclass
@@ -39,6 +47,27 @@ class _PostedRecv:
     src: int  # may be ANY_SOURCE
     tag: int  # may be ANY_TAG
     request: Request
+    out: np.ndarray | None
+
+
+def _out_mismatch(payload: Any, out: np.ndarray) -> str | None:
+    """Why ``payload`` cannot be delivered into ``out`` (None if it can).
+
+    ``np.copyto`` would broadcast a short message over the whole buffer,
+    so the shapes and dtypes must match exactly.
+    """
+    if payload is None:
+        return f"recv out= holds {out.nbytes} bytes but the message is size-only"
+    if isinstance(payload, dict):
+        return "recv out= cannot take a dict payload"
+    arr = np.asarray(payload)
+    if arr.shape != out.shape or arr.dtype != out.dtype:
+        return (
+            f"recv out= holds {out.nbytes} bytes ({out.dtype}, shape "
+            f"{out.shape}) but the message has {arr.nbytes} bytes "
+            f"({arr.dtype}, shape {arr.shape})"
+        )
+    return None
 
 
 class Communicator:
@@ -77,6 +106,7 @@ class Communicator:
         self.messages_matched = 0
         self.bytes_transferred = 0
         self.local_copies = 0
+        self.payload_bytes_copied = 0
         if context.obs is not None:
             context.obs.metrics.register_collector("mpi", self.stats_snapshot)
 
@@ -101,12 +131,15 @@ class Communicator:
     # Matching
     # ------------------------------------------------------------------
     def _post_send(
-        self, src: int, dst: int, tag: int, nbytes: int, payload: Any
+        self, src: int, dst: int, tag: int, nbytes: int, payload: Any, *, lend: bool
     ) -> Request:
         if not 0 <= dst < self.size:
             raise ValueError(f"destination rank {dst} out of range")
         req = Request(self.engine, "send", dst, tag)
-        pend = _PendingSend(src, dst, tag, nbytes, copy_payload(payload), req)
+        if not lend and payload is not None:
+            payload = copy_payload(payload)
+            self.payload_bytes_copied += nbytes
+        pend = _PendingSend(src, dst, tag, nbytes, payload, req, lend)
         recv = self._match_recv(pend)
         if recv is not None:
             self._start_transfer(pend, recv)
@@ -114,11 +147,18 @@ class Communicator:
             self._pending_sends.append(pend)
         return req
 
-    def _post_recv(self, dst: int, src: int, tag: int) -> Request:
+    def _post_recv(
+        self, dst: int, src: int, tag: int, out: np.ndarray | None
+    ) -> Request:
         if src != ANY_SOURCE and not 0 <= src < self.size:
             raise ValueError(f"source rank {src} out of range")
+        if out is not None:
+            if not isinstance(out, np.ndarray):
+                raise TypeError(f"recv out= must be a numpy array, got {type(out)!r}")
+            if not out.flags.writeable:
+                raise ValueError("recv out= array is read-only")
         req = Request(self.engine, "recv", src, tag)
-        post = _PostedRecv(dst, src, tag, req)
+        post = _PostedRecv(dst, src, tag, req, out)
         send = self._match_send(post)
         if send is not None:
             self._start_transfer(send, post)
@@ -150,7 +190,32 @@ class Communicator:
             return send
         return None
 
+    def _deliver(self, send: _PendingSend, recv: _PostedRecv) -> Any:
+        """The receiver's value; makes the message's one host copy."""
+        payload = send.payload
+        if recv.out is not None:
+            np.copyto(recv.out, payload)
+            self.payload_bytes_copied += send.nbytes
+            return recv.out
+        if send.lent and payload is not None:
+            self.payload_bytes_copied += send.nbytes
+            return copy_payload(payload)
+        return payload  # the isend snapshot, owned by nobody else
+
+    def _complete(self, send: _PendingSend, recv: _PostedRecv) -> None:
+        value = self._deliver(send, recv)
+        send.request._finish(None)
+        recv.request._finish(value)
+
     def _start_transfer(self, send: _PendingSend, recv: _PostedRecv) -> None:
+        if recv.out is not None:
+            problem = _out_mismatch(send.payload, recv.out)
+            if problem is not None:
+                # Like MPI's truncation error: the receive fails, the send
+                # completes, and no transfer is simulated.
+                send.request._finish(None)
+                recv.request._fail(ValueError(problem))
+                return
         self.messages_matched += 1
         self.bytes_transferred += send.nbytes
         src_dev = self.rank_to_device[send.src]
@@ -159,8 +224,7 @@ class Communicator:
             # Same-device "transfer": local copy, effectively instant at
             # this modelling granularity.
             self.local_copies += 1
-            send.request._finish(None)
-            recv.request._finish(send.payload)
+            self._complete(send, recv)
             return
         # All MPI traffic (and with it every collective) goes through the
         # transfer service: admission control, load tracking, coalescing.
@@ -173,8 +237,7 @@ class Communicator:
 
         def complete(ev):
             if ev.ok:
-                send.request._finish(None)
-                recv.request._finish(send.payload)
+                self._complete(send, recv)
             else:
                 send.request._fail(ev._exception)
                 recv.request._fail(ev._exception)
@@ -211,6 +274,7 @@ class Communicator:
             "messages_matched": self.messages_matched,
             "bytes_transferred": self.bytes_transferred,
             "local_copies": self.local_copies,
+            "payload_bytes_copied": self.payload_bytes_copied,
             "barrier_epochs": self._barrier_epoch,
             "unmatched_sends": pending,
             "unmatched_recvs": posted,
@@ -239,22 +303,45 @@ class RankView:
     def isend(
         self, dst: int, *, nbytes: int | None = None, payload=None, tag: int = 0
     ) -> Request:
+        """Post a send; ``payload`` is snapshotted now, so the caller may
+        write its buffer before the request completes."""
         size = payload_nbytes(payload, nbytes)
-        return self.comm._post_send(self.rank, dst, tag, size, payload)
+        return self.comm._post_send(self.rank, dst, tag, size, payload, lend=False)
 
-    def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> Request:
-        return self.comm._post_recv(self.rank, src, tag)
+    def irecv(
+        self,
+        src: int = ANY_SOURCE,
+        *,
+        tag: int = ANY_TAG,
+        out: np.ndarray | None = None,
+    ) -> Request:
+        """Post a receive.  With ``out=``, the message is copied into that
+        array (which becomes the request's value); a message whose shape
+        or dtype differs, a dict bundle or a size-only message fails the
+        request with ``ValueError``.  Without it the value is a fresh
+        array the receiver owns."""
+        return self.comm._post_recv(self.rank, src, tag, out)
 
     # ------------------------------------------------------------------
     # Blocking (generator helpers: `result = yield from view.recv(...)`)
     # ------------------------------------------------------------------
     def send(self, dst: int, *, nbytes: int | None = None, payload=None, tag: int = 0):
-        req = self.isend(dst, nbytes=nbytes, payload=payload, tag=tag)
+        """Blocking send that *lends* ``payload``: it is copied at delivery,
+        before this call returns, so nobody may write it until then."""
+        size = payload_nbytes(payload, nbytes)
+        req = self.comm._post_send(self.rank, dst, tag, size, payload, lend=True)
         yield req.event
         return None
 
-    def recv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG):
-        req = self.irecv(src, tag=tag)
+    def recv(
+        self,
+        src: int = ANY_SOURCE,
+        *,
+        tag: int = ANY_TAG,
+        out: np.ndarray | None = None,
+    ):
+        """Blocking receive; ``out=`` as for :meth:`irecv`."""
+        req = self.irecv(src, tag=tag, out=out)
         value = yield req.event
         return value
 
@@ -266,10 +353,21 @@ class RankView:
         nbytes: int | None = None,
         payload=None,
         tag: int = 0,
+        out: np.ndarray | None = None,
     ):
-        """Concurrent exchange; returns the received payload."""
-        sreq = self.isend(dst, nbytes=nbytes, payload=payload, tag=tag)
-        rreq = self.irecv(src, tag=tag)
+        """Concurrent exchange; returns the received payload.
+
+        Lends ``payload`` like :meth:`send` and receives like :meth:`recv`.
+        ``out`` may not share memory with ``payload``: the incoming copy
+        could land before the partner has read the outgoing bytes.
+        """
+        if out is not None and payload is not None:
+            parts = payload.values() if isinstance(payload, dict) else (payload,)
+            if any(np.shares_memory(out, part) for part in parts):
+                raise ValueError("sendrecv out= shares memory with payload")
+        size = payload_nbytes(payload, nbytes)
+        sreq = self.comm._post_send(self.rank, dst, tag, size, payload, lend=True)
+        rreq = self.irecv(src, tag=tag, out=out)
         yield waitall(self.engine, [sreq, rreq])
         return rreq.event.value
 

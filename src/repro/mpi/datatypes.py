@@ -42,9 +42,18 @@ def copy_payload(payload):
     return np.array(payload, copy=True)
 
 
-def concat_payloads(parts):
-    """Concatenate 1-D payload blocks (Bruck merge step)."""
-    return np.concatenate([np.asarray(p) for p in parts])
+def check_op(op) -> None:
+    """Reject a reduction ``op`` that cannot reduce in place.
+
+    Collectives reduce with ``op(acc, received, out=acc)``, so ``op`` must
+    be a binary numpy ufunc (``np.add``, ``np.maximum``, ...).  A unary
+    ufunc would read ``received`` as its ``out=`` and silently return a
+    wrong reduction.
+    """
+    if not (isinstance(op, np.ufunc) and op.nin == 2 and op.nout == 1):
+        raise ValueError(
+            f"op={op!r} is not a binary numpy ufunc (e.g. np.add, np.maximum)"
+        )
 
 
-__all__ = ["payload_nbytes", "copy_payload", "concat_payloads"]
+__all__ = ["payload_nbytes", "copy_payload", "check_op"]

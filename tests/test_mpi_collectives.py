@@ -268,6 +268,101 @@ class TestBcast:
             run_collective(fn)
 
 
+class TestReductionOp:
+    """A reduction op must be a binary ufunc, checked before any message."""
+
+    @pytest.mark.parametrize(
+        "collective",
+        [
+            collectives.allreduce,
+            collectives.allreduce_recursive,
+            collectives.allreduce_ring,
+            collectives.reduce_scatter_ring,
+        ],
+    )
+    @pytest.mark.parametrize("op", [np.negative, "sum", np.divmod])
+    def test_non_binary_op_rejected_before_first_message(self, collective, op):
+        eng = Engine()
+        comm = Communicator(UCXContext(eng, systems.beluga()), size=4)
+        gen = collective(comm.view(0), np.arange(8.0), op=op)
+        with pytest.raises(ValueError, match="op="):
+            next(gen)
+        assert comm.unmatched == (0, 0)
+        assert comm.messages_matched == 0
+
+    def test_unary_op_fails_the_collective(self):
+        """np.negative used to read the received block as its out= and
+        silently return a wrong sum."""
+
+        def fn(view):
+            result = yield from collectives.allreduce(
+                view, np.arange(8.0), op=np.negative
+            )
+            return result
+
+        with pytest.raises(ValueError, match="negative"):
+            run_collective(fn)
+
+
+class TestPayloadCopies:
+    """Each message costs exactly one host copy (``payload_bytes_copied``)."""
+
+    def _run(self, fn, size=4):
+        eng = Engine()
+        comm = Communicator(UCXContext(eng, systems.beluga()), size=size)
+        results = {}
+
+        def program(view):
+            results[view.rank] = yield from fn(view)
+
+        eng.run(until=comm.run_ranks(program))
+        return comm, results
+
+    def test_recursive_allreduce_copies_6n(self):
+        inputs = make_inputs(4, 1024)
+        n = inputs[0].nbytes
+
+        def fn(view):
+            result = yield from collectives.allreduce_recursive(view, inputs[view.rank])
+            return result
+
+        comm, results = self._run(fn)
+        # Per rank: n/2 + n/4 scatter-reduce, n/4 + n/2 allgather.
+        assert comm.stats_snapshot()["payload_bytes_copied"] == 6 * n
+        for r in range(4):
+            np.testing.assert_allclose(results[r], np.sum(inputs, axis=0), rtol=1e-12)
+
+    def test_bruck_alltoall_copies_4n(self):
+        inputs = make_inputs(4, 1024)
+        n = inputs[0].nbytes
+
+        def fn(view):
+            result = yield from collectives.alltoall_bruck(
+                view, np.split(inputs[view.rank], 4)
+            )
+            return result
+
+        comm, _ = self._run(fn)
+        # Per rank: two rounds of two n/4 slots each.
+        assert comm.stats_snapshot()["payload_bytes_copied"] == 4 * n
+
+    def test_bruck_result_does_not_alias_blocks(self):
+        blocks = [make_inputs(4, 16, seed=r) for r in range(4)]
+        snapshot = [[b.copy() for b in row] for row in blocks]
+
+        def fn(view):
+            result = yield from collectives.alltoall_bruck(view, blocks[view.rank])
+            return result
+
+        _, results = self._run(fn)
+        for row in blocks:
+            for b in row:
+                b[:] = -1.0
+        for dst in range(4):
+            for src in range(4):
+                np.testing.assert_array_equal(results[dst][src], snapshot[src][dst])
+
+
 class TestCollectiveTiming:
     def test_multipath_speeds_up_alltoall(self):
         elems = 1 << 21  # 2M doubles = 16 MiB per block

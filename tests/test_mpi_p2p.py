@@ -262,6 +262,132 @@ class TestValidation:
             Communicator(ctx, reduce_bandwidth=0)
 
 
+class TestPayloadMovement:
+    """Blocking calls lend their buffer; delivery makes the one copy."""
+
+    def test_isend_copies_once(self):
+        eng, comm = make_comm()
+        data = np.arange(32, dtype=np.float32)
+        got = {}
+
+        def program(view):
+            if view.rank == 0:
+                yield view.isend(1, payload=data).event
+            elif view.rank == 1:
+                got["v"] = yield view.irecv(0).event
+
+        eng.run(until=comm.run_ranks(program))
+        assert comm.stats_snapshot()["payload_bytes_copied"] == data.nbytes
+        np.testing.assert_array_equal(got["v"], data)
+
+    def test_blocking_send_copies_once(self):
+        eng, comm = make_comm()
+        data = np.arange(32, dtype=np.float32)
+        got = {}
+
+        def program(view):
+            if view.rank == 0:
+                yield from view.send(1, payload=data)
+            elif view.rank == 1:
+                got["v"] = yield from view.recv(0)
+
+        eng.run(until=comm.run_ranks(program))
+        assert comm.stats_snapshot()["payload_bytes_copied"] == data.nbytes
+        assert not np.shares_memory(got["v"], data)
+
+    def test_sendrecv_result_does_not_alias_sender(self):
+        eng, comm = make_comm()
+        bufs = {0: np.zeros(64), 1: np.ones(64)}
+        out = {}
+
+        def program(view):
+            if view.rank > 1:
+                return
+                yield
+            peer = 1 - view.rank
+            out[view.rank] = yield from view.sendrecv(
+                peer, peer, payload=bufs[view.rank], tag=3
+            )
+            bufs[view.rank][:] = 42.0  # the sender writes its buffer after
+
+        eng.run(until=comm.run_ranks(program))
+        assert np.all(out[0] == 1.0)
+        assert np.all(out[1] == 0.0)
+
+    def test_recv_into_out(self):
+        eng, comm = make_comm()
+        data = np.arange(16, dtype=np.int32)
+        dest = np.zeros(16, dtype=np.int32)
+        got = {}
+
+        def program(view):
+            if view.rank == 0:
+                yield from view.send(1, payload=data)
+            elif view.rank == 1:
+                got["v"] = yield from view.recv(0, out=dest)
+
+        eng.run(until=comm.run_ranks(program))
+        assert got["v"] is dest
+        np.testing.assert_array_equal(dest, data)
+        assert comm.stats_snapshot()["payload_bytes_copied"] == data.nbytes
+
+    def _recv_error(self, payload, out):
+        eng, comm = make_comm()
+        errors = []
+
+        def program(view):
+            if view.rank == 0:
+                yield from view.send(1, payload=payload)
+            elif view.rank == 1:
+                try:
+                    yield from view.recv(0, out=out)
+                except ValueError as err:
+                    errors.append(str(err))
+
+        eng.run(until=comm.run_ranks(program))
+        assert comm.unmatched == (0, 0)
+        assert len(errors) == 1
+        return errors[0]
+
+    def test_out_size_mismatch_fails_recv(self):
+        # copyto would broadcast the one-element message over the buffer
+        msg = self._recv_error(np.array([7.0]), np.zeros(16))
+        assert "128 bytes" in msg and "8 bytes" in msg
+
+    def test_out_dtype_mismatch_fails_recv(self):
+        msg = self._recv_error(np.zeros(4, dtype=np.float32), np.zeros(4, np.int32))
+        assert "float32" in msg and "int32" in msg
+
+    def test_out_rejects_dict_payload(self):
+        msg = self._recv_error({0: np.zeros(4)}, np.zeros(4))
+        assert "dict" in msg
+
+    def test_out_rejects_size_only_message(self):
+        eng, comm = make_comm()
+        req = comm.view(1).irecv(0, out=np.zeros(4))
+        comm.view(0).isend(1, nbytes=32)
+        eng.run()
+        assert not req.event.ok
+        assert "size-only" in str(req.event._exception)
+
+    def test_out_must_be_writable_array(self):
+        _, comm = make_comm()
+        with pytest.raises(TypeError):
+            comm.view(1).irecv(0, out=[0.0, 0.0])
+        frozen = np.zeros(4)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            comm.view(1).irecv(0, out=frozen)
+
+    def test_sendrecv_out_overlapping_payload_rejected(self):
+        _, comm = make_comm()
+        buf = np.zeros(16)
+        gen = comm.view(0).sendrecv(1, 1, payload=buf[:8], out=buf[4:12])
+        with pytest.raises(ValueError, match="shares memory"):
+            next(gen)
+        assert comm.unmatched == (0, 0)
+
+
 class TestMultipathEffect:
     def test_multipath_speeds_up_p2p(self):
         n = 256 * MiB

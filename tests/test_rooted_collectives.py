@@ -102,6 +102,30 @@ class TestReduce:
         results, _ = run_collective(fn, size=4)
         np.testing.assert_allclose(results[0], expected)
 
+    @pytest.mark.parametrize("op", [np.negative, "sum"])
+    def test_non_binary_op_rejected(self, op):
+        def fn(view):
+            result = yield from collectives.reduce_binomial(
+                view, np.arange(8.0), op=op, root=0
+            )
+            return result
+
+        with pytest.raises(ValueError, match="op="):
+            run_collective(fn, size=4)
+
+    def test_mismatched_lengths_fail_the_root(self):
+        """Children's blocks are received into a buffer shaped like the
+        parent's own, so a length mismatch fails instead of broadcasting."""
+
+        def fn(view):
+            result = yield from collectives.reduce_binomial(
+                view, np.zeros(1 if view.rank else 8), root=0
+            )
+            return result
+
+        with pytest.raises(ValueError, match="8 bytes"):
+            run_collective(fn, size=2)
+
     def test_scatter_then_gather_roundtrip(self):
         """scatter followed by gather reconstructs the root's blocks."""
         blocks = make_inputs(4, 48)
