@@ -40,6 +40,7 @@ def test_search_vs_model_cost_and_quality(benchmark, beluga_setup):
     table.add(what="search wall-clock (s)", value=search_wall)
     table.add(what="model wall-clock (s)", value=model_wall)
     table.add(what="search candidates", value=result.candidates_evaluated)
+    table.add(what="search candidates simulated", value=result.candidates_simulated)
     table.add(what="search best simulated (us)", value=result.simulated_time * 1e6)
     table.add(what="model predicted (us)", value=plan.predicted_time * 1e6)
     table.add(what="model measured BW (GB/s)", value=bw_model / 1e9)

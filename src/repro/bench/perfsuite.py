@@ -29,9 +29,9 @@ machine-readable ``BENCH_sim.json``:
   admitted-p99 headroom against the scenario bound) is simulated-time and
   deterministic.
 * **static_search** — the offline exhaustive static-share search (the
-  set-up cost of every Fig. 6 point): wall time, candidates and engine
-  events.  Candidates and events are deterministic, so events are gated
-  to never rise above the baseline.
+  set-up cost of every Fig. 6 point): wall time, grid candidates, the
+  candidates actually simulated, and engine events.  The counts are
+  deterministic, so events are gated to never rise above the baseline.
 * **tracing_overhead** — the flight recorder's on-by-default tax: the
   median of paired recorder-on/recorder-off latency ratios over adjacent
   identical mixed-size transfer blocks.  The <3 % budget is gated in
@@ -526,8 +526,9 @@ def bench_static_search(*, repeats: int = 3) -> dict:
 
     One search: beluga, ``3_GPUs_w_host``, 16 MiB, grid 6, the default
     chunk menu, with 1 % channel jitter at seed 1 (a ``bibw-sweep`` set-up
-    point).  ``candidates`` and ``events_processed`` are deterministic;
-    only the wall numbers vary between runs.
+    point).  ``candidates`` (the grid), ``candidates_simulated`` and
+    ``events_processed`` are deterministic; only the wall numbers vary
+    between runs.
     """
     from repro.bench.baselines import dynamic_config, static_search
     from repro.bench.runner import PATH_CONFIGS, get_setup
@@ -546,6 +547,7 @@ def bench_static_search(*, repeats: int = 3) -> dict:
         "nbytes": nbytes,
         "grid_steps": grid_steps,
         "candidates": result.candidates_evaluated,
+        "candidates_simulated": result.candidates_simulated,
         "events_processed": result.events_processed,
         "simulated_time_s": result.simulated_time,
         "wall_s": wall,

@@ -8,9 +8,11 @@ handles any count.  :func:`allreduce` dispatches.
 
 Reduction arithmetic is performed for real on the payloads (so tests can
 check numerics) *and* charged as simulated GPU time via ``view.compute``.
-It runs in place: partner blocks are received into one scratch array and
-reduced with ``op(keep, scratch, out=keep)``, and allgather blocks are
-received straight into the result vector.
+The recursive scheme never copies its input: step 1 sends the partner half
+straight from it and reduces the kept half into a fresh result vector.
+Later partner blocks are received into one scratch array and reduced with
+``op(keep, scratch, out=keep)``, and allgather blocks are received straight
+into the result vector.
 """
 
 from __future__ import annotations
@@ -39,18 +41,22 @@ def allreduce_recursive(view: RankView, array, op=np.add):
     check_op(op)
     if not _is_power_of_two(view.size):
         raise ValueError("recursive allreduce requires power-of-two ranks")
-    buf = np.array(array, copy=True)
-    if buf.ndim != 1:
+    src = np.asarray(array)
+    if src.ndim != 1:
         raise ValueError("allreduce payloads must be 1-D")
     p, rank = view.size, view.rank
     tag = view.next_collective_tag()
     if p == 1:
-        return buf
+        return src.copy()
 
     # Phase 1: recursive halving — each step trades half of the active
-    # region with the partner and reduces the kept half.  The kept half is
-    # never longer than ceil(n/2), so one scratch array takes every step.
+    # region with the partner and reduces the kept half.  Step 1 reads the
+    # input and writes the result; later steps work in the result.  The
+    # kept half is never longer than ceil(n/2), so one scratch array takes
+    # every step.  The result's sent halves are filled by phase 2.
+    buf = np.empty_like(src)
     scratch = np.empty((buf.size + 1) // 2, dtype=buf.dtype)
+    data = src
     steps = []
     offset, count = 0, buf.size
     dist = p // 2
@@ -68,11 +74,12 @@ def allreduce_recursive(view: RankView, array, op=np.add):
         received = yield from view.sendrecv(
             partner,
             partner,
-            payload=buf[send_off : send_off + send_cnt],
+            payload=data[send_off : send_off + send_cnt],
             tag=tag + step_id,
             out=scratch[:keep_cnt],
         )
-        op(keep, received, out=keep)
+        op(data[keep_off : keep_off + keep_cnt], received, out=keep)
+        data = buf
         yield from view.compute(int(received.nbytes))
         steps.append((send_off, send_cnt, keep_off, keep_cnt, partner))
         offset, count = keep_off, keep_cnt

@@ -52,7 +52,8 @@ def scatter_binomial(view: RankView, blocks=None, root: int = 0):
 
     Internally ships subtree bundles down a binomial tree (the standard
     large-message scatter), so upper tree levels move large aggregated
-    payloads that benefit from multi-path splitting.
+    payloads that benefit from multi-path splitting.  Sends lend their
+    bundles, so the root copies only the block it keeps.
     """
     p, rank = view.size, view.rank
     if not 0 <= root < p:
@@ -63,7 +64,8 @@ def scatter_binomial(view: RankView, blocks=None, root: int = 0):
     if rank == root:
         if blocks is None or len(blocks) != p:
             raise ValueError(f"root must supply {p} blocks")
-        bundle = {j: np.array(blocks[(j + root) % p], copy=True) for j in range(p)}
+        bundle = {j: np.asarray(blocks[(j + root) % p]) for j in range(p)}
+        bundle[0] = bundle[0].copy()  # the block the root keeps
     else:
         bundle = None
 
@@ -80,7 +82,10 @@ def scatter_binomial(view: RankView, blocks=None, root: int = 0):
 
 
 def gather_binomial(view: RankView, array, root: int = 0):
-    """Gather every rank's array at the root (binomial tree, bundled)."""
+    """Gather every rank's array at the root (binomial tree, bundled).
+
+    Sends lend their bundles, so only the root copies its own array.
+    """
     p, rank = view.size, view.rank
     if not 0 <= root < p:
         raise ValueError("root out of range")
@@ -88,7 +93,8 @@ def gather_binomial(view: RankView, array, root: int = 0):
     vrank = (rank - root) % p
     children, parent = _children_and_parent(vrank, p)
 
-    bundle = {vrank: np.array(array, copy=True)}
+    own = np.asarray(array)
+    bundle = {vrank: own.copy() if parent is None else own}
     # Children report in increasing-subtree order (reverse of scatter).
     for child_v in sorted(children):
         received = yield from view.recv((child_v + root) % p, tag=tag)

@@ -5,11 +5,38 @@ traffic).  The simulator is noise-free by default so unit tests are exact;
 experiments that want realistic scatter attach one of these jitter models to
 their channels.  All models are driven by a seeded generator, so a run is
 reproducible given its seed.
+
+Each model also has ``floor(calls)``: a lower bound on every one of its
+next ``calls`` multipliers, or None when it cannot know one.  The offline
+static-share search uses the floors to bound a candidate's time without
+simulating it; :func:`jitter_floor` applies them to any model.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+
+def jitter_floor(model, calls: int) -> float | None:
+    """Lower bound on ``model``'s next ``calls`` multipliers.
+
+    No model (a noise-free channel) gives 1.0; a model without a
+    ``floor`` method gives None, since an arbitrary callable may return
+    anything.
+    """
+    if model is None:
+        return 1.0
+    floor = getattr(model, "floor", None)
+    return None if floor is None else floor(calls)
+
+
+@lru_cache(maxsize=1024)
+def _lognormal_min(seed: int, mu: float, sigma: float, calls: int) -> float:
+    """Smallest of the first ``calls`` draws of a fresh generator."""
+    rng = np.random.default_rng(seed)
+    return float(rng.lognormal(mu, sigma, size=calls).min())
 
 
 class LognormalJitter:
@@ -50,6 +77,18 @@ class LognormalJitter:
             rng = self.rng = np.random.default_rng(self._seed)
         return float(rng.lognormal(self._mu, self.sigma))
 
+    def floor(self, calls: int) -> float | None:
+        """The exact minimum of the next ``calls`` draws (``calls >= 1``).
+
+        Known only for a :meth:`seeded` jitter that has not drawn yet: its
+        draws are the first ones of a fresh generator on its seed.
+        """
+        if self.sigma == 0:
+            return 1.0
+        if self.rng is not None or self._seed is None:
+            return None
+        return _lognormal_min(self._seed, self._mu, self.sigma, calls)
+
 
 class BurstSlowdown:
     """Occasional slow transfers (straggler model).
@@ -73,6 +112,9 @@ class BurstSlowdown:
     def __call__(self, nbytes: int) -> float:
         return self.factor if self.rng.random() < self.prob else 1.0
 
+    def floor(self, calls: int) -> float:
+        return 1.0
+
 
 class SizeDependentEfficiency:
     """Bandwidth efficiency that ramps up with message size.
@@ -94,6 +136,9 @@ class SizeDependentEfficiency:
         if nbytes <= 0:
             return 1.0
         return 1.0 + self.knee_bytes / float(nbytes)
+
+    def floor(self, calls: int) -> float:
+        return 1.0
 
 
 class LinearDrift:
@@ -128,6 +173,9 @@ class LinearDrift:
         progress = 1.0 if self.ramp == 0 else min(1.0, (elapsed + 1) / self.ramp)
         return 1.0 + (self.factor - 1.0) * progress
 
+    def floor(self, calls: int) -> float:
+        return min(1.0, self.factor)
+
 
 class ComposedJitter:
     """Product of several jitter models."""
@@ -141,8 +189,20 @@ class ComposedJitter:
             out *= m(nbytes)
         return out
 
+    def floor(self, calls: int) -> float | None:
+        """Product of the parts' floors (every part draws once per call,
+        and all floors here are >= 0); None if any part has none."""
+        out = 1.0
+        for m in self.models:
+            f = jitter_floor(m, calls)
+            if f is None:
+                return None
+            out *= f
+        return out
+
 
 __all__ = [
+    "jitter_floor",
     "LognormalJitter",
     "BurstSlowdown",
     "SizeDependentEfficiency",

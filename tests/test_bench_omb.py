@@ -4,7 +4,9 @@ from itertools import product
 
 import pytest
 
+from repro.bench import baselines
 from repro.bench.baselines import (
+    _lower_bound,
     _simulate_candidate,
     direct_config,
     dynamic_config,
@@ -15,11 +17,14 @@ from repro.bench.baselines import (
 from repro.bench.collectives import COLLECTIVES
 from repro.bench.env import BenchEnvironment, default_jitter_factory
 from repro.bench.omb import osu_bibw, osu_bw, osu_collective_latency
+from repro.bench.runner import PATH_CONFIGS
 from repro.sim.faults import LinkFailure
+from repro.sim.noise import LognormalJitter
 from repro.topology import systems
 from repro.topology.routing import enumerate_paths
 from repro.ucx.tuning import StaticShare
 from repro.units import MiB, gbps
+from repro.util.rng import spawn_rng
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,25 @@ class TestSimplexGrid:
         assert (0.5, 0.5) in grid
 
 
+def _exhaustive_winner(env, nbytes, steps, menu, **path_kwargs):
+    """(shares, time, grid size) of the search's winner found by timing
+    every candidate to completion; ties go to the first in grid order."""
+    paths = enumerate_paths(env.topology, 0, 1, **path_kwargs)
+    candidates = list(product(simplex_grid(len(paths), steps), menu))
+    times = [
+        _simulate_candidate(env, 0, 1, nbytes, paths, fractions, chunks)[0]
+        for fractions, chunks in candidates
+    ]
+    best = times.index(min(times))
+    fractions, chunks = candidates[best]
+    shares = tuple(
+        StaticShare(path_id=p.path_id, fraction=f, chunks=chunks)
+        for p, f in zip(paths, fractions)
+        if f > 0
+    )
+    return shares, times[best], len(candidates)
+
+
 class TestStaticSearch:
     def test_beats_direct_for_large_messages(self):
         topo = systems.beluga()
@@ -226,6 +250,70 @@ class TestStaticSearch:
         )
         # the bound really cut work short
         assert res.events_processed < sum(events for _t, events in runs)
+
+    @pytest.mark.parametrize("label", sorted(PATH_CONFIGS))
+    @pytest.mark.parametrize("nbytes", [4 * MiB, 64 * MiB])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("system", ["beluga", "narval"])
+    def test_lower_bound_never_exceeds_simulated_time(
+        self, system, sigma, nbytes, label
+    ):
+        kwargs = PATH_CONFIGS[label]
+        topo = systems.by_name(system)
+        env = BenchEnvironment(
+            topo,
+            config=dynamic_config(**kwargs),
+            jitter_factory=default_jitter_factory(3, sigma),
+        )
+        paths = enumerate_paths(topo, 0, 1, **kwargs)
+        for fractions, chunks in product(simplex_grid(len(paths), 3), (1, 4, 16)):
+            t, _events = _simulate_candidate(
+                env, 0, 1, nbytes, paths, fractions, chunks
+            )
+            bound = _lower_bound(env, nbytes, paths, fractions, chunks)
+            assert 0 < bound <= t, (fractions, chunks)
+
+    @pytest.mark.parametrize("label", sorted(PATH_CONFIGS))
+    def test_pruned_search_equals_exhaustive_argmin(self, label):
+        kwargs = PATH_CONFIGS[label]
+        env = BenchEnvironment(
+            systems.narval(),
+            config=dynamic_config(**kwargs),
+            jitter_factory=default_jitter_factory(1, 0.01),
+        )
+        menu = (1, 4, 16)
+        res = static_search(env, 64 * MiB, grid_steps=3, chunk_menu=menu, **kwargs)
+        assert (res.shares, res.simulated_time, res.candidates_evaluated) == (
+            _exhaustive_winner(env, 64 * MiB, 3, menu, **kwargs)
+        )
+        assert 1 <= res.candidates_simulated < res.candidates_evaluated
+
+    def test_jitter_without_floor_gets_exhaustive_winner(self):
+        """Jitter drawn from an explicit generator has no floor: the bound
+        keeps only latencies on those channels, and the winner holds."""
+
+        def factory(cdef):
+            return LognormalJitter(spawn_rng(5, "jitter", cdef.name), 0.02)
+
+        env = BenchEnvironment(
+            systems.beluga(), config=dynamic_config(), jitter_factory=factory
+        )
+        res = static_search(env, 4 * MiB, grid_steps=3, chunk_menu=(1, 4))
+        assert (res.shares, res.simulated_time, res.candidates_evaluated) == (
+            _exhaustive_winner(env, 4 * MiB, 3, (1, 4), include_host=True)
+        )
+
+    def test_search_without_model_seed_gets_exhaustive_winner(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_model_seed", lambda *args: None)
+        env = BenchEnvironment(
+            systems.beluga(),
+            config=dynamic_config(),
+            jitter_factory=default_jitter_factory(2, 0.01),
+        )
+        res = static_search(env, 16 * MiB, grid_steps=3, chunk_menu=(1, 4))
+        assert (res.shares, res.simulated_time, res.candidates_evaluated) == (
+            _exhaustive_winner(env, 16 * MiB, 3, (1, 4), include_host=True)
+        )
 
     def test_candidate_failing_before_bound_raises(self):
         class DownAfterFirst(BenchEnvironment):

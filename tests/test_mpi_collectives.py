@@ -332,6 +332,57 @@ class TestPayloadCopies:
         for r in range(4):
             np.testing.assert_allclose(results[r], np.sum(inputs, axis=0), rtol=1e-12)
 
+    def test_recursive_allreduce_leaves_input_alone(self):
+        inputs = make_inputs(4, 1000)
+        snapshot = [a.copy() for a in inputs]
+
+        def fn(view):
+            result = yield from collectives.allreduce_recursive(view, inputs[view.rank])
+            return result
+
+        _, results = self._run(fn)
+        for r in range(4):
+            np.testing.assert_array_equal(inputs[r], snapshot[r])
+            assert not np.shares_memory(results[r], inputs[r])
+            np.testing.assert_allclose(results[r], np.sum(snapshot, axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("size,hops", [(4, 4), (5, 5)])
+    def test_binomial_scatter_copies_each_block_once_per_hop(self, size, hops):
+        # A block crosses as many tree edges as its virtual rank has set
+        # bits: 1+1+2 on 4 ranks, 1+1+2+1 on 5.
+        blocks = make_inputs(size, 64)
+        snapshot = [b.copy() for b in blocks]
+
+        def fn(view):
+            result = yield from collectives.scatter_binomial(
+                view, blocks if view.rank == 1 else None, root=1
+            )
+            return result
+
+        comm, results = self._run(fn, size=size)
+        assert comm.stats_snapshot()["payload_bytes_copied"] == hops * blocks[0].nbytes
+        for r in range(size):
+            np.testing.assert_array_equal(results[r], snapshot[r])
+            assert not any(np.shares_memory(results[r], b) for b in blocks)
+
+    @pytest.mark.parametrize("size,hops", [(4, 4), (5, 5)])
+    def test_binomial_gather_copies_each_block_once_per_hop(self, size, hops):
+        inputs = make_inputs(size, 64)
+        snapshot = [a.copy() for a in inputs]
+
+        def fn(view):
+            result = yield from collectives.gather_binomial(
+                view, inputs[view.rank], root=1
+            )
+            return result
+
+        comm, results = self._run(fn, size=size)
+        assert comm.stats_snapshot()["payload_bytes_copied"] == hops * inputs[0].nbytes
+        for j in range(size):
+            np.testing.assert_array_equal(inputs[j], snapshot[j])
+            np.testing.assert_array_equal(results[1][j], snapshot[j])
+            assert not any(np.shares_memory(results[1][j], a) for a in inputs)
+
     def test_bruck_alltoall_copies_4n(self):
         inputs = make_inputs(4, 1024)
         n = inputs[0].nbytes

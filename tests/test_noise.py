@@ -10,6 +10,7 @@ from repro.sim.noise import (
     LinearDrift,
     LognormalJitter,
     SizeDependentEfficiency,
+    jitter_floor,
 )
 from repro.topology import systems
 from repro.units import KiB, MiB
@@ -149,3 +150,39 @@ class TestComposedJitter:
 
     def test_empty_is_identity(self):
         assert ComposedJitter()(123) == 1.0
+
+
+class TestJitterFloors:
+    def test_seeded_floor_is_min_of_first_draws(self):
+        j = LognormalJitter.seeded(42, 0.05)
+        draws = [j(1) for _ in range(10)]
+        assert LognormalJitter.seeded(42, 0.05).floor(10) == min(draws)
+        assert LognormalJitter.seeded(42, 0.05).floor(1) == draws[0]
+
+    def test_lognormal_without_fresh_seed_has_no_floor(self):
+        j = LognormalJitter.seeded(42, 0.05)
+        j(1)
+        assert j.floor(3) is None
+        assert LognormalJitter(spawn_rng(0, "t"), 0.05).floor(3) is None
+        assert LognormalJitter(spawn_rng(0, "t"), 0.0).floor(3) == 1.0
+
+    def test_constant_floors(self):
+        assert SizeDependentEfficiency(1e6).floor(5) == 1.0
+        assert BurstSlowdown(spawn_rng(0, "b"), 0.5, 4.0).floor(5) == 1.0
+        assert LinearDrift(0.5, start=2, ramp=3).floor(5) == 0.5
+        assert LinearDrift(2.0).floor(5) == 1.0
+
+    def test_composed_floor_is_product(self):
+        composed = ComposedJitter(
+            SizeDependentEfficiency(1e3),
+            LinearDrift(0.8, ramp=4),
+            LognormalJitter.seeded(7, 0.02),
+        )
+        floor = composed.floor(20)
+        assert floor == 0.8 * LognormalJitter.seeded(7, 0.02).floor(20)
+        assert all(composed(4096) >= floor for _ in range(20))
+
+    def test_unknown_parts_have_no_floor(self):
+        assert jitter_floor(None, 3) == 1.0
+        assert jitter_floor(lambda n: 1.0, 3) is None
+        assert ComposedJitter(SizeDependentEfficiency(), lambda n: 1.0).floor(3) is None
